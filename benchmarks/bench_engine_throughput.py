@@ -34,14 +34,17 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_throughput.j
 
 #: (tracker, engine) cells measured, documentation order. Hydra on the
 #: fast engine is the headline; the others give context (baseline =
-#: controller-only cost, graphene/cra = other tracker families, the
-#: queued cell = scheduler overhead, the vector cells = the numpy
-#: window-batched engine on the same workload).
+#: controller-only cost, graphene/cra = other tracker families,
+#: cra and the hydra-nogct/hydra-norcc ablations = the metadata-traffic
+#: path, the queued cell = scheduler overhead, the vector cells = the
+#: numpy window-batched engine on the same workload).
 DEFAULT_CELLS = (
     ("baseline", "fast"),
     ("hydra", "fast"),
     ("graphene", "fast"),
     ("cra", "fast"),
+    ("hydra-nogct", "fast"),
+    ("hydra-norcc", "fast"),
     ("hydra", "queued"),
     ("baseline", "vector"),
     ("hydra", "vector"),

@@ -31,7 +31,7 @@ from repro.core.gct import GroupCountTable
 from repro.core.randomize import FeistelPermutation
 from repro.core.rcc import RowCountCache
 from repro.core.rct import RowCountTable
-from repro.trackers.base import ActivationTracker, MetaAccess, TrackerResponse
+from repro.trackers.base import ActivationTracker, TrackerResponse
 from repro.trackers.registry import (
     RCC_ENTRY_BYTES,
     Param,
@@ -158,9 +158,12 @@ class HydraTracker(ActivationTracker):
                 stats.gct_only += 1
                 stats.group_inits += 1
                 first_row = key & self._group_mask
-                meta = self.rct.init_group(first_row, self._group_size, tg)
-                self._account_meta(meta)
-                return TrackerResponse(meta_accesses=tuple(meta))
+                read, write = self.rct.init_group(
+                    first_row, self._group_size, tg
+                )
+                stats.meta_read_lines += read.n_lines
+                stats.meta_write_lines += write.n_lines
+                return TrackerResponse(meta_accesses=(read, write))
             # value >= T_G: group saturated on an earlier update.
         return self._per_row_update(key, row_id)
 
@@ -408,47 +411,55 @@ class HydraTracker(ActivationTracker):
                 self.stats.mitigations += 1
                 return TrackerResponse(mitigate_rows=(physical_row,))
             return None
-        # RCC miss: fetch the counter line from the RCT in DRAM.
-        self.stats.rct_accesses += 1
-        value = self.rct.read(key)
-        meta = [MetaAccess(self.rct.meta_row_of(key), 1, False)]
-        victim = self.rcc.install(key, value)
-        if victim is not None:
+        # RCC miss: fetch the counter line from the RCT in DRAM. The
+        # RCT's counter list and interned meta pairs replace the
+        # read/meta_row_of/write calls and per-event MetaAccess builds.
+        stats = self.stats
+        stats.rct_accesses += 1
+        rct = self.rct
+        counts = rct._counts
+        count = counts[key] + 1
+        mitigate = count >= self.th
+        # install(key, value) followed by write(key, count) in one step:
+        # the key is not resident (the probe above missed), so the
+        # install cannot take its re-install branch.
+        victim = rcc.install(key, 0 if mitigate else count)
+        read = rct.meta_pair(key)[0]
+        if victim is None:
+            stats.meta_read_lines += 1
+            meta = (read,)
+        else:
             victim_key, victim_count = victim
-            self.rct.write(victim_key, victim_count)
-            victim_meta_row = self.rct.meta_row_of(victim_key)
-            meta.append(MetaAccess(victim_meta_row, 1, False))
-            meta.append(MetaAccess(victim_meta_row, 1, True))
-        self._account_meta(meta)
-        count = value + 1
-        if count >= self.th:
-            self.rcc.write(key, 0)
-            self.stats.mitigations += 1
+            counts[victim_key] = victim_count
+            meta = (read, *rct.meta_pair(victim_key))
+            stats.meta_read_lines += 2
+            stats.meta_write_lines += 1
+        if mitigate:
+            stats.mitigations += 1
             return TrackerResponse(
-                mitigate_rows=(physical_row,), meta_accesses=tuple(meta)
+                mitigate_rows=(physical_row,), meta_accesses=meta
             )
-        self.rcc.write(key, count)
-        return TrackerResponse(meta_accesses=tuple(meta))
+        return TrackerResponse(meta_accesses=meta)
 
     def _rct_read_modify_write(
         self, key: int, physical_row: int
     ) -> TrackerResponse:
         """Hydra-NoRCC: every per-row update is a DRAM RMW."""
-        self.stats.rct_accesses += 1
-        meta_row = self.rct.meta_row_of(key)
-        meta = (
-            MetaAccess(meta_row, 1, False),
-            MetaAccess(meta_row, 1, True),
-        )
-        self._account_meta(meta)
-        value = self.rct.read(key) + 1
+        stats = self.stats
+        stats.rct_accesses += 1
+        stats.meta_read_lines += 1
+        stats.meta_write_lines += 1
+        rct = self.rct
+        meta = rct.meta_pair(key)
+        counts = rct._counts
+        value = counts[key] + 1
         if value >= self.th:
-            self.rct.write(key, 0)
-            self.stats.mitigations += 1
+            counts[key] = 0
+            stats.mitigations += 1
             return TrackerResponse(
                 mitigate_rows=(physical_row,), meta_accesses=meta
             )
-        self.rct.write(key, value)
+        counts[key] = value
         return TrackerResponse(meta_accesses=meta)
 
     def _count_meta_row_activation(self, row_id: int) -> Optional[TrackerResponse]:
@@ -461,13 +472,6 @@ class HydraTracker(ActivationTracker):
             return TrackerResponse(mitigate_rows=(row_id,))
         self._rit_act[row_id] = count
         return None
-
-    def _account_meta(self, meta) -> None:
-        for access in meta:
-            if access.is_write:
-                self.stats.meta_write_lines += access.n_lines
-            else:
-                self.stats.meta_read_lines += access.n_lines
 
 
 class _HydraBatchPlan:

@@ -18,7 +18,7 @@ RIT-ACT counters (§5.2.2).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.dram.timing import DramGeometry
 from repro.interfaces import MetaAccess
@@ -42,6 +42,9 @@ class RowCountTable:
             raise ValueError("geometry too small to host the RCT")
         self._line_size = geometry.line_size_bytes
         self._counts: List[int] = [0] * geometry.total_rows
+        #: meta row id -> its interned single-line (read, write) pair;
+        #: filled lazily by :meth:`meta_pair`, never cleared.
+        self._meta_pairs: Dict[int, Tuple[MetaAccess, MetaAccess]] = {}
 
     @property
     def geometry(self) -> DramGeometry:
@@ -68,9 +71,32 @@ class RowCountTable:
 
     def meta_row_of(self, row_id: int) -> int:
         """Global id of the DRAM row holding ``row_id``'s counter."""
-        bank_base = row_id - row_id % self._rows_per_bank
+        return self.meta_pair(row_id)[0].row_id
+
+    def meta_pair(self, row_id: int) -> Tuple[MetaAccess, MetaAccess]:
+        """Interned ``(read, write)`` of the line holding ``row_id``'s counter.
+
+        Both are single-line accesses to the DRAM row storing the
+        counter (the one layout computation; :meth:`meta_row_of`
+        reads it back). ``MetaAccess`` is an immutable tuple, so one
+        pair per meta row is built on first use and shared by every
+        later request: the per-row update paths of CRA and Hydra
+        return these objects instead of allocating new ones per
+        event. The memo depends only on the layout, so it survives
+        :meth:`reset_all` and window resets.
+        """
         local = row_id % self._rows_per_bank
-        return bank_base + self._meta_base_local + local // self._counters_per_meta_row
+        meta_row = (
+            row_id - local + self._meta_base_local
+            + local // self._counters_per_meta_row
+        )
+        pair = self._meta_pairs.get(meta_row)
+        if pair is None:
+            pair = self._meta_pairs[meta_row] = (
+                MetaAccess(meta_row, 1, False),
+                MetaAccess(meta_row, 1, True),
+            )
+        return pair
 
     def read(self, row_id: int) -> int:
         return self._counts[row_id]

@@ -110,11 +110,21 @@ class MemoryController(BaseMemoryController):
         window_sched = self._window
         advance_window = self._advance_window
         # The feedback fast path (tracker answers None, no follow-up
-        # work) is inlined below; only a live response enters the
-        # worklist machinery. ``self.tracker`` is never rebound, so the
-        # bound method stays valid across window resets.
+        # work) is inlined below, and so is the depth-0 work of a
+        # meta-only response (metadata traffic, no mitigation, no
+        # delay — nearly every CRA/NoGCT/NoRCC event); only the
+        # activations that traffic causes, and responses with
+        # mitigations or delay, enter the worklist machinery.
+        # ``self.tracker.on_activation`` is resolved here, once per
+        # run, and never rebound, so it stays valid across window
+        # resets.
         on_activation = self.tracker.on_activation
-        followups = self._feedback.drive_followups
+        feedback = self._feedback
+        followups = feedback.drive_followups
+        observe_chain = feedback.observer
+        rows_per_bank = self._rows_per_bank
+        banks_per_channel = self._banks_per_channel
+        defer_meta_writes = self.defer_meta_writes
         # Timing scalars are shared by every bank and bus (all built
         # from the same DramTiming), so they hoist out of the loop;
         # per-bank/per-bus *state* is re-read from the objects each
@@ -138,6 +148,11 @@ class MemoryController(BaseMemoryController):
         demand_accesses = 0
         demand_line_transfers = 0
         tracker_activations = 0
+        # Metadata traffic of inlined meta-only responses; flushed into
+        # ``stats`` before every window reset, whose observer snapshots
+        # the live counters.
+        meta_accesses = 0
+        meta_line_transfers = 0
         for gap_ns, row_id, local_row, bank_index, channel, n_lines, is_write in stream:
             earliest = issue + gap_ns
             slot = count % mlp
@@ -147,6 +162,9 @@ class MemoryController(BaseMemoryController):
             issue = start
             # -- access(start, row_id, n_lines, is_write), inlined --
             if start >= next_reset:
+                stats.meta_accesses += meta_accesses
+                stats.meta_line_transfers += meta_line_transfers
+                meta_accesses = meta_line_transfers = 0
                 advance_window(start)
                 next_reset = window_sched.next_reset
             # -- bank.access(start, local_row, n_lines, bus, is_write),
@@ -203,7 +221,48 @@ class MemoryController(BaseMemoryController):
                 tracker_activations += 1
                 response = on_activation(row_id)
                 if response is not None:
-                    delay = followups(response, act_at, self)
+                    mitigate_rows, metas, delay_ns = response
+                    if mitigate_rows or delay_ns:
+                        delay = followups(response, act_at, self)
+                    else:
+                        # -- the depth-0 meta loop of drive_followups
+                        #    with perform_meta_access inlined; the
+                        #    meta rows it activates resume the walk --
+                        pending = None
+                        for meta in metas:
+                            meta_row, meta_lines, meta_write = meta
+                            meta_accesses += 1
+                            meta_line_transfers += meta_lines
+                            meta_bank = meta_row // rows_per_bank
+                            meta_bus = buses[meta_bank // banks_per_channel]
+                            if meta_write and defer_meta_writes:
+                                # -- meta_bus.transfer(act_at, meta_lines)
+                                if meta_lines > 0:
+                                    free_at = meta_bus.free_at
+                                    duration = meta_lines * t_burst
+                                    meta_bus.free_at = (
+                                        act_at if act_at >= free_at
+                                        else free_at
+                                    ) + duration
+                                    meta_bus.busy_time += duration
+                            elif banks[meta_bank].access(
+                                act_at,
+                                meta_row % rows_per_bank,
+                                meta_lines,
+                                meta_bus,
+                                meta_write,
+                            ).activated:
+                                if pending is None:
+                                    pending = [(meta_row, 1)]
+                                else:
+                                    pending.append((meta_row, 1))
+                        if pending is None:
+                            observe_chain(0)
+                            delay = 0.0
+                        else:
+                            delay = followups(
+                                None, act_at, self, (pending, 0, 0)
+                            )
                     if delay:
                         completion += delay
                         total_delay_ns += delay
@@ -216,6 +275,8 @@ class MemoryController(BaseMemoryController):
         stats.demand_accesses += demand_accesses
         stats.demand_line_transfers += demand_line_transfers
         stats.tracker_activations += tracker_activations
+        stats.meta_accesses += meta_accesses
+        stats.meta_line_transfers += meta_line_transfers
         stats.total_delay_ns = total_delay_ns
         self.end_time = end_time
         end = max(window) if count else 0.0

@@ -106,7 +106,7 @@ class TrackerFeedback:
         return self.drive_followups(response, at, handler)
 
     def drive_followups(
-        self, response, at: float, handler: FeedbackHandler
+        self, response, at: float, handler: FeedbackHandler, resume=None
     ) -> float:
         """Slow path: run the feedback worklist for a live response.
 
@@ -116,31 +116,46 @@ class TrackerFeedback:
         response — the exact handler-call order of the original
         deque-based BFS (a cursor-indexed list is FIFO too, without
         the per-activation deque allocation).
+
+        ``resume`` is the walk's state ``(pending, cursor, depth)``
+        for a caller that did part of the walk itself: ``pending``
+        holds ``(row, depth)`` activations not yet reported from
+        ``cursor`` on, and ``response`` (``None`` when the caller
+        already performed its work) belongs to an activation at
+        ``depth``. The fast engine resolves meta-only responses
+        inline and resumes here with the meta rows they activated.
         """
         tracker = self.tracker
         victims_of = self.policy.victims_of
         max_depth = self.max_depth
-        delay = 0.0 + response.delay_ns
-        pending = []  # (row, depth) worklist, consumed via cursor
-        cursor = 0
-        depth = 0
+        if resume is None:
+            pending = []  # (row, depth) worklist, consumed via cursor
+            cursor = 0
+            depth = 0
+        else:
+            pending, cursor, depth = resume
+        delay = 0.0
         while True:
-            requeue = depth < max_depth
-            for meta in response.meta_accesses:
-                if handler.perform_meta_access(meta, at) and requeue:
-                    pending.append((meta.row_id, depth + 1))
-            for aggressor in response.mitigate_rows:
-                for victim in victims_of(aggressor):
-                    if handler.perform_victim_refresh(victim, at) and requeue:
-                        pending.append((victim, depth + 1))
-            response = None
+            if response is not None:
+                delay += response.delay_ns
+                requeue = depth < max_depth
+                for meta in response.meta_accesses:
+                    if handler.perform_meta_access(meta, at) and requeue:
+                        pending.append((meta.row_id, depth + 1))
+                for aggressor in response.mitigate_rows:
+                    for victim in victims_of(aggressor):
+                        if (
+                            handler.perform_victim_refresh(victim, at)
+                            and requeue
+                        ):
+                            pending.append((victim, depth + 1))
+                response = None
             while cursor < len(pending):
                 row, depth = pending[cursor]
                 cursor += 1
                 handler.on_tracker_activation(row)
                 response = tracker.on_activation(row)
                 if response is not None:
-                    delay += response.delay_ns
                     break
             if response is None:
                 self.observer(cursor)

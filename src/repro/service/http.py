@@ -36,7 +36,18 @@ DEFAULT_PORT = 8265
 #: How often the event stream re-polls the job's manifest.
 DEFAULT_EVENT_POLL_S = 0.1
 
+#: Largest request body accepted (a submitted grid is a few KB).
+MAX_BODY_BYTES = 1 << 20
+
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
+
+
+class RequestRejected(Exception):
+    """A request refused before its body is read: ``status`` + reason."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class SweepService:
@@ -121,7 +132,12 @@ class SweepService:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except RequestRejected as exc:
+                self._write_response(writer, exc.status, {"error": str(exc)})
+                await writer.drain()
+                return
             if request is None:
                 return
             method, path, body = request
@@ -163,7 +179,7 @@ class SweepService:
                 break
             name, _, value = line.decode().partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        length = _body_length(headers.get("content-length", "0"))
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
 
@@ -220,6 +236,26 @@ class SweepService:
             await asyncio.sleep(self.event_poll_s)
 
 
+def _body_length(value: str) -> int:
+    """Validate a ``Content-Length`` value before any body is read.
+
+    Raises :class:`RequestRejected`: 400 for anything but a decimal
+    integer of at least zero, 413 above :data:`MAX_BODY_BYTES`.
+    """
+    if not (value.isascii() and value.isdigit()):
+        raise RequestRejected(400, f"bad Content-Length: {value[:40]!r}")
+    # Compare digit counts first: int() refuses very long digit strings.
+    digits = value.lstrip("0") or "0"
+    if (
+        len(digits) > len(str(MAX_BODY_BYTES))
+        or int(digits) > MAX_BODY_BYTES
+    ):
+        raise RequestRejected(
+            413, f"body of {digits[:40]} bytes exceeds {MAX_BODY_BYTES}"
+        )
+    return int(digits)
+
+
 def _reason(status: int) -> str:
     return {
         200: "OK",
@@ -228,6 +264,7 @@ def _reason(status: int) -> str:
         404: "Not Found",
         405: "Method Not Allowed",
         409: "Conflict",
+        413: "Payload Too Large",
     }.get(status, "OK")
 
 

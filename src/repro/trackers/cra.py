@@ -12,7 +12,8 @@ On every activation the controller needs the row's counter:
 
 - metadata-cache hit: increment in place (no DRAM traffic);
 - miss: read the counter line from DRAM, install it, and write back
-  the evicted line if dirty.
+  the evicted line (every cached line holds an incremented counter,
+  so every eviction is dirty).
 
 Mitigation (victim refresh) triggers at T_RH/2 (window-reset halving)
 and resets the counter.
@@ -30,7 +31,13 @@ from repro.trackers.registry import Param, TrackerContext, register_tracker
 
 
 class LineMetadataCache:
-    """Set-associative LRU cache of 64 B metadata lines."""
+    """Set-associative LRU cache of 64 B metadata lines.
+
+    Every CRA access increments the counter it fetched, so every
+    resident line is dirty and every eviction is a write-back; a set
+    therefore only keeps its line ids in LRU order (oldest first). The
+    lookup itself is fused into :meth:`CraTracker.on_activation`.
+    """
 
     __slots__ = ("sets", "ways", "_sets", "hits", "misses", "evictions")
 
@@ -40,8 +47,7 @@ class LineMetadataCache:
             raise ValueError("capacity must hold a whole number of sets")
         self.sets = lines // ways
         self.ways = ways
-        # line_id -> dirty flag, in LRU order (oldest first).
-        self._sets: List["OrderedDict[int, bool]"] = [
+        self._sets: List["OrderedDict[int, None]"] = [
             OrderedDict() for _ in range(self.sets)
         ]
         self.hits = 0
@@ -51,34 +57,6 @@ class LineMetadataCache:
     @property
     def capacity_lines(self) -> int:
         return self.sets * self.ways
-
-    def access(self, line_id: int, make_dirty: bool) -> Tuple[bool, Optional[int]]:
-        """Touch a line (installing it on a miss).
-
-        Returns ``(hit, dirty_victim_line)``: ``hit`` is False when the
-        line had to be installed, and ``dirty_victim_line`` names an
-        evicted dirty line that must be written back (clean evictions
-        are free and reported as None).
-        """
-        cache_set = self._sets[line_id % self.sets]
-        if line_id in cache_set:
-            self.hits += 1
-            cache_set.move_to_end(line_id)
-            if make_dirty:
-                cache_set[line_id] = True
-            return True, None
-        self.misses += 1
-        victim: Optional[int] = None
-        if len(cache_set) >= self.ways:
-            victim_line, victim_dirty = cache_set.popitem(last=False)
-            self.evictions += 1
-            if victim_dirty:
-                victim = victim_line
-        cache_set[line_id] = make_dirty
-        return False, victim
-
-    def contains(self, line_id: int) -> bool:
-        return line_id in self._sets[line_id % self.sets]
 
     def reset(self) -> None:
         for cache_set in self._sets:
@@ -110,44 +88,55 @@ class CraTracker(ActivationTracker):
         self.mitigations = 0
         self.extra_read_lines = 0
         self.extra_write_lines = 0
-
-    def _line_of(self, row_id: int) -> int:
-        return row_id // self._counters_per_line
-
-    def _meta_row_of_line(self, line_id: int) -> int:
-        return self.table.meta_row_of(line_id * self._counters_per_line)
+        # Scalar copies for the per-activation path. ``reset_all`` and
+        # ``LineMetadataCache.reset`` clear in place, so the hoisted
+        # references stay valid across window resets.
+        self._rows_per_bank = geometry.rows_per_bank
+        self._meta_base_local = self.table.meta_base_local
+        self._counts = self.table._counts
+        self._cache_sets = self.cache._sets
 
     def on_activation(self, row_id: int) -> Optional[TrackerResponse]:
-        if self.table.is_meta_row(row_id):
+        if row_id % self._rows_per_bank >= self._meta_base_local:
             # CRA as published does not guard its own counter rows
             # (Hydra's §5.2.2 RIT-ACT has no CRA equivalent); counter-
             # row activations are simply not tracked.
             return None
-        count = self.table.read(row_id) + 1
+        counts = self._counts
+        count = counts[row_id] + 1
         mitigate: Tuple[int, ...] = ()
         if count >= self.threshold:
             self.mitigations += 1
-            self.table.write(row_id, 0)
+            counts[row_id] = 0
             mitigate = (row_id,)
         else:
-            self.table.write(row_id, count)
-        hit, dirty_victim = self.cache.access(self._line_of(row_id), make_dirty=True)
-        if hit and not mitigate:
+            counts[row_id] = count
+        # The counter's 64 B line through the LRU metadata cache.
+        cache = self.cache
+        rows_per_line = self._counters_per_line
+        line = row_id // rows_per_line
+        cache_set = self._cache_sets[line % cache.sets]
+        if line in cache_set:
+            cache.hits += 1
+            cache_set.move_to_end(line)
+            if mitigate:
+                return TrackerResponse(mitigate_rows=mitigate)
             return None
-        meta: List[MetaAccess] = []
-        if not hit:
-            self.extra_read_lines += 1
-            meta.append(
-                MetaAccess(self._meta_row_of_line(self._line_of(row_id)), 1, False)
+        # Miss: read the line, write back the LRU line it displaces.
+        cache.misses += 1
+        self.extra_read_lines += 1
+        read = self.table.meta_pair(line * rows_per_line)[0]
+        if len(cache_set) >= cache.ways:
+            victim_line = cache_set.popitem(last=False)[0]
+            cache.evictions += 1
+            self.extra_write_lines += 1
+            meta: Tuple[MetaAccess, ...] = (
+                read, self.table.meta_pair(victim_line * rows_per_line)[1]
             )
-            if dirty_victim is not None:
-                self.extra_write_lines += 1
-                meta.append(
-                    MetaAccess(self._meta_row_of_line(dirty_victim), 1, True)
-                )
-        if not meta and not mitigate:
-            return None
-        return TrackerResponse(mitigate_rows=mitigate, meta_accesses=tuple(meta))
+        else:
+            meta = (read,)
+        cache_set[line] = None
+        return TrackerResponse(mitigate_rows=mitigate, meta_accesses=meta)
 
     def on_window_reset(self) -> None:
         self.table.reset_all()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.rct import RowCountTable
 from repro.dram.timing import PAPER_GEOMETRY, DramGeometry
+from repro.interfaces import MetaAccess
 
 SMALL = DramGeometry(
     channels=1,
@@ -50,6 +51,62 @@ class TestLayout:
         narrow = RowCountTable(SMALL, counter_bytes=1)
         wide = RowCountTable(SMALL, counter_bytes=2)
         assert wide.meta_rows_per_bank == 2 * narrow.meta_rows_per_bank
+
+
+class TestMetaPair:
+    """``meta_pair``: the interned single-line RMW of a row's counter."""
+
+    @pytest.mark.parametrize("counter_bytes", [1, 2])
+    def test_matches_meta_row_of_for_every_row(self, counter_bytes):
+        # Every row of both banks: bank boundaries (0, 1023, 1024,
+        # 2047), meta-row boundaries and the meta region itself.
+        rct = RowCountTable(SMALL, counter_bytes=counter_bytes)
+        counters_per_meta_row = 256 // counter_bytes
+        for row in range(SMALL.total_rows):
+            meta_row = rct.meta_row_of(row)
+            bank, local = divmod(row, 1024)
+            assert meta_row == (
+                bank * 1024 + rct.meta_base_local
+                + local // counters_per_meta_row
+            )
+            assert rct.meta_pair(row) == (
+                MetaAccess(meta_row, 1, False),
+                MetaAccess(meta_row, 1, True),
+            )
+
+    def test_one_interned_pair_per_meta_row(self):
+        rct = RowCountTable(SMALL, counter_bytes=1)
+        pairs = {row: rct.meta_pair(row) for row in range(SMALL.total_rows)}
+        assert len({id(p) for p in pairs.values()}) == rct.total_meta_rows
+        assert rct.meta_pair(0) is rct.meta_pair(255)
+        assert rct.meta_pair(0) is not rct.meta_pair(256)
+        assert rct.meta_pair(1023) is not rct.meta_pair(1024)
+
+    def test_same_objects_after_resets(self):
+        rct = RowCountTable(SMALL, counter_bytes=1)
+        before = [rct.meta_pair(row) for row in range(SMALL.total_rows)]
+        rct.write(5, 9)
+        rct.reset_all()
+        rct.init_group(0, 128, 3)
+        after = [rct.meta_pair(row) for row in range(SMALL.total_rows)]
+        assert all(a is b for a, b in zip(before, after))
+
+    def test_survives_tracker_window_resets(self):
+        from repro.core.config import HydraConfig
+        from repro.core.hydra import HydraTracker
+        from repro.trackers.cra import CraTracker
+
+        nogct = HydraTracker(
+            HydraConfig(
+                geometry=SMALL, trh=100, gct_entries=16,
+                rcc_entries=8, rcc_ways=4, enable_gct=False,
+            )
+        )
+        cra = CraTracker(SMALL, trh=100)
+        for tracker, table in ((nogct, nogct.rct), (cra, cra.table)):
+            pair = table.meta_pair(7)
+            tracker.on_window_reset()  # both zero their table here
+            assert table.meta_pair(7) is pair
 
 
 class TestCounters:

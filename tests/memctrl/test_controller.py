@@ -1,13 +1,21 @@
 """Tests for the memory controller and its tracker feedback loop."""
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 from repro.core.config import HydraConfig
 from repro.core.hydra import HydraTracker
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.interfaces import ActivationTracker, MetaAccess, TrackerResponse
+from repro.memctrl.base import drive_in_order
 from repro.memctrl.controller import MemoryController
+from repro.obs import observe_controller
+from repro.sim.config import SystemConfig
+from repro.sim.simulator import make_tracker, trace_for_workload
 from repro.trackers.ocpr import OcprTracker
+from repro.workloads.trace import Trace
 
 GEOMETRY = DramGeometry(
     channels=2,
@@ -201,3 +209,153 @@ class TestReporting:
         for i in range(50):
             t = mc.access(t, row_id=i, n_lines=4)
         assert 0.0 < mc.bus_utilization() <= 1.0
+
+
+PARITY_CONFIG = SystemConfig(scale=1 / 256).with_trh(250)
+
+
+def replay(tracker, trace, fused, observe, geometry, timing, mlp=16, **kwargs):
+    """One run on the fused loop (``run_trace``) or the generic
+    ``TrackerFeedback.drive`` path (``drive_in_order`` over ``access``);
+    everything a run exposes, for field-by-field comparison."""
+    mc = MemoryController(geometry, timing, tracker, **kwargs)
+    observation = observe_controller(mc) if observe else None
+    if fused:
+        outcome = mc.run_trace(trace, mlp=mlp)
+    else:
+        outcome = drive_in_order(trace, mc.access, mlp)
+    state = {
+        "outcome": outcome,
+        "end_time": mc.end_time,
+        "stats": asdict(mc.stats),
+        "activity": asdict(mc.activity()),
+        "tracker": tracker.obs_snapshot(),
+        "mitigations": tracker.mitigation_count(),
+    }
+    if observation is not None:
+        chain = observation.registry.get("feedback_chain_length")
+        state["chain"] = (chain.bucket_counts, chain.count, chain.total)
+        state["observed"] = observation.finalize(outcome.end_time_ns).to_dict()
+    return state
+
+
+class TestFusedMetadataPath:
+    """``run_trace``'s fused loop resolves meta-only tracker responses
+    itself; it must match the generic feedback path exactly."""
+
+    @pytest.mark.parametrize("observe", [False, True])
+    @pytest.mark.parametrize(
+        "name", ["cra", "hydra-nogct", "hydra-norcc", "hydra"]
+    )
+    def test_fused_matches_generic_on_gups(self, name, observe):
+        config = PARITY_CONFIG
+        trace = trace_for_workload(config, "GUPS")
+        fused, generic = (
+            replay(
+                make_tracker(name, config), trace, mode, observe,
+                config.geometry, config.timing, mlp=config.mlp,
+                blast_radius=config.blast_radius,
+            )
+            for mode in (True, False)
+        )
+        assert fused["stats"]["meta_accesses"] > 0
+        if observe:
+            assert fused["chain"][1] > 0  # slow-path events were seen
+        assert fused == generic
+
+    @pytest.mark.parametrize("defer_meta_writes", [True, False])
+    def test_scripted_responses_match_generic(self, defer_meta_writes):
+        """Every response shape, including meta-only ones that activate
+        nothing (deferred writes, open-row hits): those still count as
+        a zero-length chain in the observed histogram."""
+        read_other_bank = MetaAccess(1024 + 512, 1, False)
+        write_other_bank = MetaAccess(2048 + 7, 2, True)
+        shapes = [
+            TrackerResponse(meta_accesses=(write_other_bank,)),
+            TrackerResponse(meta_accesses=(read_other_bank,)),
+            TrackerResponse(meta_accesses=(read_other_bank,) * 2),
+            TrackerResponse(
+                meta_accesses=(read_other_bank, write_other_bank)
+            ),
+            TrackerResponse(mitigate_rows=(300,)),
+            TrackerResponse(
+                mitigate_rows=(301,), meta_accesses=(read_other_bank,)
+            ),
+            TrackerResponse(delay_ns=250.0, meta_accesses=(write_other_bank,)),
+            TrackerResponse(),
+        ]
+        script = {i: shapes[i % len(shapes)] for i in range(0, 600, 3)}
+        n = 300
+        trace = Trace(
+            gaps_ns=np.full(n, 30.0),
+            rows=(np.arange(n) * 37) % 4096,
+            lines=np.ones(n, dtype=np.int32),
+            writes=np.arange(n) % 5 == 0,
+        )
+        fused, generic = (
+            replay(
+                RecordingTracker(script), trace, mode, True, GEOMETRY,
+                TIMING, defer_meta_writes=defer_meta_writes,
+            )
+            for mode in (True, False)
+        )
+        assert fused["chain"][0][0] > 0  # zero-length chains observed
+        assert fused == generic
+
+    def test_meta_row_mitigation_resumes_the_worklist(self):
+        """A metadata read activates an RCT row whose RIT-ACT counter
+        then reaches T_H: the mitigation is issued by a feedback
+        activation the fused loop handed to the worklist."""
+        config = HydraConfig(
+            geometry=GEOMETRY, trh=8, gct_entries=16,
+            rcc_entries=8, rcc_ways=4, enable_gct=False,
+        )
+        n = 400
+        trace = Trace(
+            gaps_ns=np.full(n, 40.0),
+            rows=np.arange(n) % 40,  # 40 rows of bank 0: RCC misses
+            lines=np.ones(n, dtype=np.int32),
+            writes=np.arange(n) % 7 == 0,
+        )
+        runs = []
+        for fused in (True, False):
+            tracker = HydraTracker(config)
+            events = []
+            on_activation = tracker.on_activation
+
+            def recording(row_id, _inner=on_activation, _events=events):
+                response = _inner(row_id)
+                _events.append((row_id, response))
+                return response
+
+            tracker.on_activation = recording
+            state = replay(
+                tracker, trace, fused, True, GEOMETRY, TIMING
+            )
+            runs.append((state, events))
+        (fused, fused_events), (generic, generic_events) = runs
+        assert fused == generic
+        assert fused_events == generic_events
+        meta_base = tracker.rct.meta_base_local
+
+        def is_meta_row(row):
+            return row % GEOMETRY.rows_per_bank >= meta_base
+
+        # A demand activation answered with metadata traffic only, and
+        # the very next activation reported — the metadata row that
+        # traffic opened — fired the RIT-ACT mitigation.
+        resumed = [
+            meta_row
+            for (row, response), (meta_row, next_response) in zip(
+                fused_events, fused_events[1:]
+            )
+            if not is_meta_row(row)
+            and response is not None
+            and response.meta_accesses
+            and not response.mitigate_rows
+            and is_meta_row(meta_row)
+            and next_response is not None
+            and next_response.mitigate_rows == (meta_row,)
+        ]
+        assert resumed
+        assert fused["stats"]["victim_refreshes"] > 0

@@ -7,7 +7,12 @@ import threading
 import pytest
 
 from repro.service import ServiceClient, ServiceError, SweepBroker
-from repro.service.http import SweepService, serve_async
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    RequestRejected,
+    SweepService,
+    serve_async,
+)
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 
@@ -113,6 +118,124 @@ class TestDispatch:
 
     def test_unrouted_path_is_404(self, service):
         assert service.dispatch("GET", "/nope/deeper")[0] == 404
+
+
+class _MemoryWriter:
+    """The slice of ``asyncio.StreamWriter`` that ``handle_client`` uses."""
+
+    def __init__(self):
+        self.data = b""
+        self.closed = False
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+
+def _reader(raw: bytes, eof: bool = True) -> asyncio.StreamReader:
+    reader = asyncio.StreamReader()
+    reader.feed_data(raw)
+    if eof:
+        reader.feed_eof()
+    return reader
+
+
+def read_request(service, raw: bytes, eof: bool = True):
+    async def main():
+        return await asyncio.wait_for(
+            service._read_request(_reader(raw, eof)), timeout=5
+        )
+
+    return asyncio.run(main())
+
+
+def handle(service, raw: bytes, eof: bool = True):
+    """Run ``handle_client`` on in-memory streams; (status, payload)."""
+    writer = _MemoryWriter()
+
+    async def main():
+        await asyncio.wait_for(
+            service.handle_client(_reader(raw, eof), writer), timeout=5
+        )
+
+    asyncio.run(main())
+    assert writer.closed
+    head, _, body = writer.data.partition(b"\r\n\r\n")
+    status = int(head.split()[1])
+    return status, json.loads(body)
+
+
+def post(length: str, body: bytes = b"") -> bytes:
+    return (
+        b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+        + f"Content-Length: {length}\r\n\r\n".encode()
+        + body
+    )
+
+
+class TestRequestLimits:
+    """``Content-Length`` is validated before any body byte is read.
+
+    The reader is left open (no EOF) wherever a body read would block,
+    so a handler that tried to read it would time out instead of
+    answering.
+    """
+
+    def test_valid_length_reads_body(self, service):
+        body = submit_body()
+        assert read_request(service, post(str(len(body)), body)) == (
+            "POST", "/jobs", body
+        )
+
+    def test_missing_length_means_empty_body(self, service):
+        raw = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        assert read_request(service, raw) == ("GET", "/healthz", b"")
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "", "1.5", "0x10", "1_0"])
+    def test_non_integer_or_negative_length_is_400(self, service, value):
+        with pytest.raises(RequestRejected) as err:
+            read_request(service, post(value), eof=False)
+        assert err.value.status == 400
+        status, payload = handle(service, post(value), eof=False)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "length",
+        [str(MAX_BODY_BYTES + 1), "99999999999", "9" * 40, "9" * 5000],
+        ids=["cap+1", "11-digits", "40-digits", "5000-digits"],
+    )
+    def test_oversized_length_is_413(self, service, length):
+        with pytest.raises(RequestRejected) as err:
+            read_request(service, post(length), eof=False)
+        assert err.value.status == 413
+        status, payload = handle(service, post(length), eof=False)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+
+    def test_leading_zeros_are_still_a_length(self, service):
+        body = submit_body()
+        raw = post("000000000" + str(len(body)), body)
+        assert read_request(service, raw)[2] == body
+
+    def test_length_at_the_cap_is_read(self, service):
+        body = b" " * MAX_BODY_BYTES
+        request = read_request(service, post(str(MAX_BODY_BYTES), body))
+        assert request[2] == body
+
+    def test_valid_request_still_dispatched(self, service):
+        body = submit_body()
+        status, payload = handle(service, post(str(len(body)), body))
+        assert status == 201
+        assert payload["total_cells"] == 2
 
 
 class TestLiveServer:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dram.timing import DramGeometry
+from repro.interfaces import MetaAccess
 from repro.trackers.cra import CraTracker, LineMetadataCache
 
 GEOMETRY = DramGeometry(
@@ -14,47 +15,64 @@ GEOMETRY = DramGeometry(
 )
 
 
+def cra_with_one_set(trh=100) -> CraTracker:
+    """CRA whose metadata cache is a single 16-way set of lines."""
+    return CraTracker(GEOMETRY, trh=trh, cache_bytes=16 * 64, cache_ways=16)
+
+
+def resident_lines(tracker: CraTracker):
+    """Lines of the single cache set, least recently used first."""
+    return list(tracker.cache._sets[0])
+
+
 class TestLineMetadataCache:
+    """The line cache as CRA drives it (64 counters per 64 B line)."""
+
     def test_miss_installs(self):
-        cache = LineMetadataCache(capacity_bytes=16 * 64, ways=16)
-        hit, victim = cache.access(1, make_dirty=True)
-        assert not hit and victim is None
-        hit, victim = cache.access(1, make_dirty=False)
-        assert hit
+        tracker = cra_with_one_set()
+        response = tracker.on_activation(64)
+        assert response.meta_accesses == (
+            MetaAccess(tracker.table.meta_row_of(64), 1, False),
+        )
+        assert tracker.on_activation(65) is None  # same line: a hit
+        assert (tracker.cache.misses, tracker.cache.hits) == (1, 1)
+        assert resident_lines(tracker) == [1]
 
     def test_dirty_eviction_reported(self):
-        cache = LineMetadataCache(capacity_bytes=16 * 64, ways=16)  # 1 set
+        tracker = cra_with_one_set()
         for line in range(16):
-            cache.access(line, make_dirty=True)
-        hit, victim = cache.access(99, make_dirty=True)
-        assert not hit
-        assert victim == 0  # LRU order: first-installed evicted
-
-    def test_clean_eviction_free(self):
-        cache = LineMetadataCache(capacity_bytes=16 * 64, ways=16)
-        for line in range(16):
-            cache.access(line, make_dirty=False)
-        hit, victim = cache.access(99, make_dirty=True)
-        assert victim is None
+            tracker.on_activation(line * 64)
+        response = tracker.on_activation(16 * 64)
+        # Every counter line is written when fetched, so the evicted
+        # LRU line (line 0, first installed) is written back.
+        assert response.meta_accesses == (
+            MetaAccess(tracker.table.meta_row_of(16 * 64), 1, False),
+            MetaAccess(tracker.table.meta_row_of(0), 1, True),
+        )
+        assert resident_lines(tracker) == list(range(1, 17))
+        assert tracker.cache.evictions == 1
+        assert tracker.extra_write_lines == 1
 
     def test_lru_promotion(self):
-        cache = LineMetadataCache(capacity_bytes=16 * 64, ways=16)
+        tracker = cra_with_one_set()
         for line in range(16):
-            cache.access(line, make_dirty=True)
-        cache.access(0, make_dirty=False)  # promote line 0
-        __, victim = cache.access(99, make_dirty=True)
-        assert victim == 1
+            tracker.on_activation(line * 64)
+        assert tracker.on_activation(0) is None  # promote line 0
+        tracker.on_activation(16 * 64)
+        assert 0 in resident_lines(tracker)
+        assert 1 not in resident_lines(tracker)  # the LRU line went
 
     def test_rejects_partial_sets(self):
         with pytest.raises(ValueError):
             LineMetadataCache(capacity_bytes=100, ways=16)
 
     def test_reset(self):
-        cache = LineMetadataCache(capacity_bytes=16 * 64, ways=16)
-        cache.access(1, make_dirty=True)
-        cache.reset()
-        hit, _ = cache.access(1, make_dirty=False)
-        assert not hit
+        tracker = cra_with_one_set()
+        tracker.on_activation(1)
+        tracker.cache.reset()
+        assert resident_lines(tracker) == []
+        response = tracker.on_activation(1)
+        assert response is not None and response.meta_accesses
 
 
 class TestCraTracker:
@@ -113,8 +131,8 @@ class TestCraTracker:
         tracker.on_window_reset()
         assert tracker.table.read(7) == 0
         assert tracker.cache.hits + tracker.cache.misses > 0
-        hit, _ = tracker.cache.access(0, make_dirty=False)
-        assert not hit  # cache emptied (this access re-installed it)
+        # The cache was emptied, so row 0's line misses again.
+        assert tracker.on_activation(0).meta_accesses
 
     def test_sram_is_cache_plus_overhead(self):
         tracker = self.make(cache_bytes=64 * 1024)
