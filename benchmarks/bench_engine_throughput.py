@@ -36,8 +36,7 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine_throughput.j
 #: fast engine is the headline; the others give context (baseline =
 #: controller-only cost, graphene/cra = other tracker families,
 #: cra and the hydra-nogct/hydra-norcc ablations = the metadata-traffic
-#: path, the queued cell = scheduler overhead, the vector cells = the
-#: numpy window-batched engine on the same workload).
+#: path, the queued cell = scheduler overhead).
 DEFAULT_CELLS = (
     ("baseline", "fast"),
     ("hydra", "fast"),
@@ -46,8 +45,6 @@ DEFAULT_CELLS = (
     ("hydra-nogct", "fast"),
     ("hydra-norcc", "fast"),
     ("hydra", "queued"),
-    ("baseline", "vector"),
-    ("hydra", "vector"),
 )
 
 
@@ -140,8 +137,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="ENGINE",
         help="measure only cells on these engines (default: all"
-        " DEFAULT_CELLS); e.g. --engines vector, or --engines fast"
-        " vector to compare the batched engine against the scalar one",
+        " DEFAULT_CELLS); e.g. --engines queued",
     )
     args = parser.parse_args(argv)
     cells = (

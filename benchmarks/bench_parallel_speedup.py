@@ -12,17 +12,22 @@ import time
 
 from _common import bench_config, record_result
 
+from repro.sim.grid import GridSpec
 from repro.sim.simulator import trace_for_workload
 from repro.sim.sweep import ExperimentRunner
 
-TRACKERS = ["baseline", "hydra"]
-WORKLOADS = ["leela", "povray", "xz", "mcf", "gcc", "cactuBSSN", "nab", "lbm"]
+TRACKERS = ("baseline", "hydra")
+WORKLOADS = ("leela", "povray", "xz", "mcf", "gcc", "cactuBSSN", "nab", "lbm")
 JOBS = 4
 
 
 def _timed_grid(runner: ExperimentRunner, jobs: int):
     start = time.perf_counter()
-    grid = runner.run_grid(TRACKERS, WORKLOADS, jobs=jobs, progress=False)
+    grid = runner.run_grid(
+        GridSpec(trackers=TRACKERS, workloads=WORKLOADS),
+        jobs=jobs,
+        progress=False,
+    )
     return grid, time.perf_counter() - start
 
 

@@ -8,23 +8,36 @@ throughput. All patterns must verify SECURE.
 from _common import bench_config, record_result
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import (
+    double_sided_program,
+    half_double_program,
+    many_sided_program,
+    rcc_thrash_program,
+    rct_region_program,
+    single_sided_program,
+    thrash_then_hammer_program,
+)
 from repro.core.hydra import HydraTracker
-from repro.workloads import attacks
 
 
 def build_patterns(config):
     geometry = config.geometry
     th = config.hydra_config().th
-    return {
-        "single-sided": attacks.single_sided(1000, 40 * th),
-        "double-sided": attacks.double_sided(2000, 20 * th),
-        "many-sided": attacks.many_sided(list(range(3000, 3064)), 4 * th),
-        "half-double": attacks.half_double(4000, 40 * th),
-        "thrash": attacks.thrash_then_hammer(
-            5000, list(range(6000, 6512)), 8 * th, interleave=8
+    programs = {
+        "single-sided": single_sided_program(1000, 40 * th),
+        "double-sided": double_sided_program(2000, 20 * th),
+        "many-sided": many_sided_program(range(3000, 3064), 4 * th),
+        "half-double": half_double_program(4000, 40 * th),
+        "thrash": thrash_then_hammer_program(
+            5000, range(6000, 6512), 8 * th, interleave=8
         ),
-        "rcc-thrash": attacks.rcc_thrash(geometry, 2000, 30),
-        "rct-region": attacks.rct_region_attack(geometry, 20 * th),
+        "rcc-thrash": rcc_thrash_program(geometry, 2000, 30),
+        "rct-region": rct_region_program(geometry, 20 * th),
+    }
+    return {
+        name: compile_program(resolve(program)).rows()
+        for name, program in programs.items()
     }
 
 

@@ -15,10 +15,15 @@ Two claims to reproduce:
 from _common import bench_config, record_result
 
 from repro.analysis.security import verify_tracker
+from repro.attacks import compile_program, resolve
+from repro.attacks.programs import many_sided_program, single_sided_program
 from repro.core.hydra import HydraTracker
 from repro.trackers.insecure import MrlocTracker, ProhitTracker
 from repro.trackers.para import para_probability
-from repro.workloads import attacks
+
+
+def _rows(program):
+    return compile_program(resolve(program)).rows()
 
 
 def test_sec73_para_probability_scaling(benchmark):
@@ -57,13 +62,13 @@ def test_sec73_probabilistic_insecurity(benchmark):
         for seed in range(40):
             mrloc = MrlocTracker(base_probability=0.002, seed=seed)
             if not verify_tracker(
-                mrloc, geometry, attacks.single_sided(5, th + 25), th
+                mrloc, geometry, _rows(single_sided_program(5, th + 25)), th
             ).secure:
                 outcomes["mrloc"] = True
                 break
         for seed in range(40):
             prohit = ProhitTracker(seed=seed)
-            sequence = attacks.many_sided(list(range(100, 164)), th + 10)
+            sequence = _rows(many_sided_program(range(100, 164), th + 10))
             if not verify_tracker(prohit, geometry, sequence, th).secure:
                 outcomes["prohit"] = True
                 break
@@ -71,7 +76,7 @@ def test_sec73_probabilistic_insecurity(benchmark):
         for _ in range(5):
             tracker = HydraTracker(config.hydra_config())
             report = verify_tracker(
-                tracker, geometry, attacks.single_sided(5, 4 * th), th
+                tracker, geometry, _rows(single_sided_program(5, 4 * th)), th
             )
             outcomes["hydra_violations"] += len(report.violations)
         return outcomes

@@ -67,6 +67,7 @@ from repro.attacks.resolve import resolve
 from repro.dram.timing import PAPER_GEOMETRY
 from repro.obs.manifest import ArenaOracleRecord, ManifestWriter
 from repro.sim.config import SystemConfig, resolve_jobs
+from repro.sim.grid import GridSpec
 from repro.sim.sweep import ExperimentRunner
 from repro.trackers.registry import (
     available_trackers,
@@ -84,7 +85,7 @@ DEFAULT_TRH_LADDER = (139_000, 20_000, 4_800, 1_000, 500)
 #: behaviour family: memory-bound SPEC-int/fp, streaming, GUPS).
 DEFAULT_ARENA_WORKLOADS = ("mcf", "lbm", "xz", "stream", "GUPS")
 
-#: Oracle battery sequence names (see :func:`oracle_sequence`). Each is
+#: Oracle battery sequence names (see :func:`oracle_attack`). Each is
 #: an alias for a registered attack program whose defaults reproduce
 #: the historical hand-built battery exactly; ``run_arena`` also
 #: accepts full attack specs (``half_double@victim=4000``) here.
@@ -143,14 +144,6 @@ def _battery_context(trh: int, total_rows: int) -> AttackContext:
         rows_per_bank=max(1, total_rows),
     )
     return AttackContext(geometry=geometry, trh=trh)
-
-
-def oracle_sequence(
-    name: str, trh: int, total_rows: int, act_max: int
-) -> Tuple[List[int], bool]:
-    """Flat-list form of :func:`oracle_attack` (compatibility shim)."""
-    compiled, exercised = oracle_attack(name, trh, total_rows, act_max)
-    return compiled.rows(), exercised
 
 
 def _cell_attack(
@@ -409,7 +402,10 @@ def run_arena(
             cfg, jobs=jobs, manifest_path=manifest_path
         )
         manifest_dest = runner.manifest_path
-        grid = runner.run_grid(specs, list(workloads), progress=progress)
+        grid = runner.run_grid(
+            GridSpec(trackers=tuple(specs), workloads=tuple(workloads)),
+            progress=progress,
+        )
 
         outcomes = _run_oracle_battery(
             config, specs, trh, sequences, n_jobs

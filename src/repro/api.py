@@ -72,8 +72,8 @@ def run(
 
 
 def sweep(
-    grid: Union[GridSpec, Sequence[str]],
-    workloads: Optional[Sequence[str]] = None,
+    grid: GridSpec,
+    *,
     config: Optional[SystemConfig] = None,
     service: Optional[str] = None,
     pool: str = "process",
@@ -83,8 +83,7 @@ def sweep(
 ) -> JobHandle:
     """Submit a grid of simulations; returns a :class:`JobHandle`.
 
-    ``grid`` is the blessed :class:`GridSpec` (or the tracker-list
-    shorthand, coerced to one). The grid's config wins; an explicit
+    ``grid`` is a :class:`GridSpec`. The grid's config wins; an explicit
     ``config`` argument fills one in when the spec carries none, and
     plain ``SystemConfig()`` is the last resort.
 
@@ -96,12 +95,6 @@ def sweep(
     handle's surface is identical: ``status()`` / ``events()`` /
     ``result()`` / ``cancel()``.
     """
-    if not isinstance(grid, GridSpec):
-        grid = GridSpec.coerce(grid, workloads, config=config)
-    elif workloads is not None:
-        raise ValueError(
-            "pass a GridSpec alone, not together with workloads"
-        )
     if grid.config is None:
         grid = grid.with_config(
             config if config is not None else SystemConfig()

@@ -4,8 +4,8 @@ A :class:`CompiledAttack` is the executable form both harnesses
 consume:
 
 - :meth:`CompiledAttack.rows` — the flat global-row activation
-  sequence (bit-identical to what the legacy hand-written generators
-  returned; golden tests pin this);
+  sequence (bit-identical to what the hand-written generators the
+  DSL replaced returned; golden tests pin this);
 - :meth:`CompiledAttack.iter_rows` — the same sequence as a streaming
   iterator, never materializing unrolled loops;
 - :meth:`CompiledAttack.iter_events` — the full event stream,

@@ -1,13 +1,12 @@
 """The attack-program zoo: every known adversary, as data.
 
-Each pattern the repo previously hand-wrote as a Python generator in
-:mod:`repro.workloads.attacks` exists here twice over:
+Each known pattern exists here twice over:
 
 - an **explicit-argument program builder** (``single_sided_program``
-  …) producing a :class:`~repro.attacks.ops.Program` from the same
-  arguments the legacy generator took — this is what the legacy shims
-  compile, and what the golden-parity tests pin bit-identical to the
-  old outputs;
+  …) producing a :class:`~repro.attacks.ops.Program` from explicit
+  rows and counts — compile one with
+  ``compile_program(resolve(program))``; the golden-parity tests pin
+  each bit-identical to the hand-written generators the DSL replaced;
 - a **registry entry** (``@register_attack``) whose unset parameters
   are derived from the :class:`~repro.attacks.registry.AttackContext`
   (hammer counts scale with the T_RH/2 threshold), so spec strings
@@ -98,7 +97,7 @@ loop $windows:
 
 
 # ----------------------------------------------------------------------
-# Explicit-argument program builders (the legacy generators' shapes)
+# Explicit-argument program builders
 # ----------------------------------------------------------------------
 
 

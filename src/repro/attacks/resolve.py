@@ -19,8 +19,8 @@
 - loop and nop counts must resolve to non-negative integers.
 
 Resolving without a geometry skips the bounds check (the binding and
-normalization steps still run) — that is the legacy generators'
-historical behaviour, kept for shims called without a geometry.
+normalization steps still run), for callers whose fixed rows must
+probe trackers identically at any simulation scale.
 """
 
 from __future__ import annotations

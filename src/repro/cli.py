@@ -30,11 +30,10 @@ compiled program alongside the workload as attacker traffic, and
 programs (battery aliases ``single``/``many``/``random`` still
 work there).
 
-``--engine {fast,queued,vector}`` selects the memory-controller
-engine for ``run``/``sweep``/``experiment``/``profile`` (default: the
-fast in-order model; ``vector`` is the numpy window-batched model,
-bit-identical to fast — DESIGN.md §14); ``engine=`` inside a spec
-string overrides it per tracker column
+``--engine {fast,queued}`` selects the memory-controller engine for
+``run``/``sweep``/``experiment``/``profile`` (default: the fast
+in-order model); ``engine=`` inside a spec string overrides it per
+tracker column
 (``--tracker hydra@engine=queued``).
 
 ``--stream-chunk N`` streams traces through on-disk chunks of N
@@ -62,7 +61,7 @@ from repro.analysis.security import verify_tracker
 from repro.memctrl import ENGINES
 from repro.sim import ExperimentRunner, SystemConfig
 from repro.trackers.storage import storage_table, total_sram_table
-from repro.workloads import all_names, attacks
+from repro.workloads import all_names
 
 
 def _jobs_type(value: str) -> int:
@@ -88,8 +87,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=ENGINES,
         default="fast",
         help="memory-controller engine: 'fast' (in-order resolution, the"
-        " sweep default), 'queued' (FR-FCFS + write-queue drain), or"
-        " 'vector' (numpy window-batched, bit-identical to fast);"
+        " sweep default) or 'queued' (FR-FCFS + write-queue drain);"
         " per-spec override: --tracker 'hydra@engine=queued'",
     )
     parser.add_argument(
@@ -291,9 +289,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro import api
 
-    grid = api.GridSpec.coerce(
-        args.trackers.split(","),
-        args.workloads.split(",") if args.workloads else None,
+    grid = api.GridSpec(
+        trackers=tuple(args.trackers.split(",")),
+        workloads=tuple(args.workloads.split(",")) if args.workloads else (),
         config=_config(args),
     )
     handle = api.sweep(grid, service=f"{args.host}:{args.port}")
@@ -388,24 +386,35 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
 
 def _cmd_security(args: argparse.Namespace) -> int:
+    from repro.attacks import compile_program, resolve
+    from repro.attacks.programs import (
+        double_sided_program,
+        half_double_program,
+        many_sided_program,
+        rct_region_program,
+        single_sided_program,
+        thrash_then_hammer_program,
+    )
+
     config = _config(args)
     hydra_cfg = config.hydra_config()
     geometry = hydra_cfg.geometry
     threshold = hydra_cfg.th
-    patterns = {
-        "single-sided": attacks.single_sided(1000, 20 * threshold),
-        "double-sided": attacks.double_sided(2000, 10 * threshold),
-        "many-sided": attacks.many_sided(list(range(3000, 3024)), 2 * threshold),
-        "half-double": attacks.half_double(4000, 20 * threshold),
-        "thrash": attacks.thrash_then_hammer(
-            5000, list(range(6000, 6512)), 4 * threshold, interleave=8
+    programs = {
+        "single-sided": single_sided_program(1000, 20 * threshold),
+        "double-sided": double_sided_program(2000, 10 * threshold),
+        "many-sided": many_sided_program(range(3000, 3024), 2 * threshold),
+        "half-double": half_double_program(4000, 20 * threshold),
+        "thrash": thrash_then_hammer_program(
+            5000, range(6000, 6512), 4 * threshold, interleave=8
         ),
-        "rct-region": attacks.rct_region_attack(geometry, 10 * threshold),
+        "rct-region": rct_region_program(geometry, 10 * threshold),
     }
     failures = 0
-    for name, sequence in patterns.items():
+    for name, program in programs.items():
         tracker = HydraTracker(hydra_cfg)
-        report = verify_tracker(tracker, geometry, sequence, threshold)
+        attack = compile_program(resolve(program))
+        report = verify_tracker(tracker, geometry, attack, threshold)
         status = "SECURE" if report.secure else "VIOLATED"
         if not report.secure:
             failures += 1

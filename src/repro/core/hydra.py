@@ -19,12 +19,8 @@ counter rows unseen.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left as _bisect_left
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.core.config import HydraConfig
 from repro.core.gct import GroupCountTable
@@ -246,149 +242,6 @@ class HydraTracker(ActivationTracker):
         self.rct.publish_metrics(registry)
 
     # ------------------------------------------------------------------
-    # Batch hook (engine=vector)
-    # ------------------------------------------------------------------
-
-    def apply_batch(self, rows, counts=None, commit: bool = True):
-        """Vectorized GCT/RCC updates; everything else escapes.
-
-        Two activation classes are order-independent and commit as a
-        batch (see :meth:`ActivationTracker.apply_batch` for the
-        contract):
-
-        - **GCT-only increments** for groups that stay below T_G even
-          after absorbing the whole batch (integer adds commute);
-        - **RCC-resident increments** for rows of saturated groups
-          whose counter stays below T_H (each is ``count += n`` plus
-          an SRRIP promotion to RRPV 0 — the same final state scalar
-          replay produces, since nothing else touches the entry).
-
-        Escapes (mask ``True``): RIT-ACT meta rows, groups the batch
-        would saturate (the GCT→RCT spill emits metadata traffic),
-        RCC misses (RCT fetch + install + possible writeback), and
-        resident counters the batch could push to T_H (mitigation).
-        The ablation/randomized variants return ``None``: without the
-        GCT every update is metadata traffic, and footnote-4 mapping
-        permutes per activation — nothing worth batching.
-        """
-        if (
-            self.gct is None
-            or self.rcc is None
-            or self._permutation is not None
-            or not isinstance(self.gct._counts, array)
-        ):
-            return None
-        rows = np.asarray(rows, dtype=np.int64)
-        n = rows.size
-        mask = np.zeros(n, dtype=bool)
-        if n == 0:
-            return mask
-        meta_m = rows % self._rows_per_bank >= self._meta_base_local
-        groups = rows >> self._gct_shift
-        gview = self._gct_view()
-        ug, inv = np.unique(groups, return_inverse=True)
-        if counts is None:
-            cnt = np.bincount(inv, minlength=len(ug))
-        else:
-            cnt = np.bincount(
-                inv, weights=np.asarray(counts, dtype=np.float64)
-            ).astype(np.int64)
-        base_u = gview[ug]
-        tg = self.tg
-        sat_u = base_u >= tg
-        # Conservative: meta-row activations never touch the GCT, but
-        # counting them toward the group total only widens the danger
-        # set (extra escapes, never a missed one).
-        danger_u = ~sat_u & (base_u + cnt >= tg)
-        sat = sat_u[inv]
-        mask = meta_m | (danger_u[inv] & ~meta_m)
-        # Saturated groups: per-row RCC residency / threshold check.
-        rcc = self.rcc
-        sets = rcc.sets
-        data = rcc._data
-        th = self.th
-        resident: dict = {}
-        per_row: dict = {}
-        sat_idx = np.nonzero(sat & ~meta_m)[0]
-        if sat_idx.size:
-            srows = rows[sat_idx].tolist()
-            if counts is None:
-                for row in srows:
-                    per_row[row] = per_row.get(row, 0) + 1
-            else:
-                for row, add in zip(srows, counts[sat_idx].tolist()):
-                    per_row[row] = per_row.get(row, 0) + int(add)
-            for row in per_row:
-                resident[row] = data[row % sets].get(row)
-            flag = []
-            for i, row in zip(sat_idx.tolist(), srows):
-                entry = resident[row]
-                if entry is None or entry[0] + per_row[row] >= th:
-                    flag.append(i)
-            if flag:
-                mask[flag] = True
-        if not commit:
-            return mask
-        if mask.any():
-            return mask
-        safe_u = ~sat_u  # all-False mask: no meta rows, no danger groups
-        n_gct = int(cnt[safe_u].sum())
-        if n_gct:
-            gview[ug[safe_u]] += cnt[safe_u]
-            self.stats.gct_only += n_gct
-        n_rcc = 0
-        for row, add in per_row.items():
-            entry = resident[row]
-            entry[0] += add
-            entry[1] = 0  # SRRIP promotion, as increment_if_present does
-            n_rcc += add
-        if n_rcc:
-            rcc.hits += n_rcc
-            self.stats.rcc_hits += n_rcc
-        return mask
-
-    def plan_batch(self, rows):
-        """Slab plan for ``engine=vector`` (specialized ``apply_batch``).
-
-        Precomputes per-slab static structure once — group ids, RIT-ACT
-        meta positions, and each position's running occurrence index
-        within its group — so ``classify``/``commit`` segments cost a
-        handful of array ops on the segment instead of re-deriving
-        ``np.unique`` over the window every call. Classification is
-        exact up to row-buffer hits (counted as potential increments,
-        which only moves an escape earlier — the scalar replay then
-        resolves it): a group escapes at the precise position where its
-        live counter plus the occurrences since the walk frontier
-        reaches T_G, and a saturated row escapes at the occurrence that
-        would miss the RCC or reach T_H. Gated exactly like
-        :meth:`apply_batch`.
-        """
-        if (
-            self.gct is None
-            or self.rcc is None
-            or self._permutation is not None
-            or not isinstance(self.gct._counts, array)
-        ):
-            return None
-        return _HydraBatchPlan(self, np.asarray(rows, dtype=np.int64))
-
-    def _gct_view(self) -> np.ndarray:
-        """Writable int64 view of the GCT's backing array.
-
-        The buffer is ``array('Q')`` (uint64); reinterpreting as int64
-        is bit-exact because group counters stay far below 2**63. The
-        signed view lets the batch paths index and compare without the
-        ``astype`` copy every segment. ``GroupCountTable.reset``
-        preserves the buffer's identity, so the view stays valid
-        across window resets.
-        """
-        view = getattr(self, "_gct_np", None)
-        if view is None:
-            view = np.frombuffer(self.gct._counts, dtype=np.int64)
-            self._gct_np = view
-        return view
-
-    # ------------------------------------------------------------------
     # Internal paths
     # ------------------------------------------------------------------
 
@@ -472,263 +325,6 @@ class HydraTracker(ActivationTracker):
             return TrackerResponse(mitigate_rows=(row_id,))
         self._rit_act[row_id] = count
         return None
-
-
-class _HydraBatchPlan:
-    """Per-slab batch plan backing :meth:`HydraTracker.plan_batch`.
-
-    Static per slab: ``_groups`` (GCT index per position), ``_meta_idx``
-    (RIT-ACT guarded positions, always escapes), and ``_occ`` — the
-    1-based occurrence index of each position within its group, so the
-    number of activations a group absorbs between the walk frontier and
-    position ``p`` is ``occ[p] - consumed[group]``. ``consumed`` tracks,
-    per group, the occurrence index last applied to the tracker; it is
-    advanced by ``commit`` and lazily repaired in ``classify`` for
-    positions the engine replayed scalarly (escapes, bind drains), so
-    the crossing test stays exact rather than drifting conservative.
-    """
-
-    __slots__ = (
-        "_tracker",
-        "_rows",
-        "_groups",
-        "_occ",
-        "_consumed",
-        "_consumed_a",
-        "_meta_idx",
-        "_done",
-        "_ana",
-        "_groups_l",
-        "_occ_l",
-        "_rows_l",
-    )
-
-    #: Classification scan blocks, in requests.  ``classify`` scans
-    #: its window block by block, stopping at the first escape: the
-    #: median escape distance is a few dozen requests, so gathering
-    #: the whole window up front would re-gather every element many
-    #: times over as escapes restart classification just past
-    #: themselves.  The block grows geometrically from ``BLOCK``
-    #: (sized for the common short escape) up to ``BLOCK_MAX`` so
-    #: escape-free stretches still classify in a handful of array
-    #: ops, and always within one *call* (the scan continues across
-    #: blocks), so no extra segment commits are introduced.
-    BLOCK = 96
-    BLOCK_MAX = 384
-
-    def __init__(self, tracker: "HydraTracker", rows: np.ndarray) -> None:
-        self._tracker = tracker
-        self._rows = rows
-        n = rows.size
-        groups = rows >> tracker._gct_shift
-        self._groups = groups
-        meta_m = rows % tracker._rows_per_bank >= tracker._meta_base_local
-        self._meta_idx = np.nonzero(meta_m)[0].tolist()
-        if n:
-            order = np.argsort(groups, kind="stable")
-            sg = groups[order]
-            idx = np.arange(n, dtype=np.int64)
-            run_start = np.empty(n, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = sg[1:] != sg[:-1]
-            first = np.maximum.accumulate(np.where(run_start, idx, 0))
-            occ = np.empty(n, dtype=np.int64)
-            occ[order] = idx - first + 1
-        else:
-            occ = np.empty(0, dtype=np.int64)
-        self._occ = occ
-        # Stdlib-array backing with a numpy view on top: the vector
-        # paths scatter/gather through the view, the small-segment
-        # scalar path in ``commit`` indexes the array directly (a
-        # stdlib ``array`` scalar access skips the numpy boxing cost).
-        self._consumed_a = array(
-            "q", bytes(8 * tracker._gct_view().size)
-        )
-        self._consumed = np.frombuffer(self._consumed_a, dtype=np.int64)
-        self._done = 0
-        self._ana = None
-        self._groups_l = None  # lazy tolist caches for the scalar path
-        self._occ_l = None
-        self._rows_l = None
-
-    def classify(self, lo: int, hi: int):
-        """First escape in the checked prefix → ``(index | -1, checked)``."""
-        groups = self._groups
-        occ = self._occ
-        consumed = self._consumed
-        done = self._done
-        if lo > done:
-            # Positions in [done, lo) were applied scalarly (escape
-            # replays, drains): fold them into the frontier so their
-            # occurrences are not double-counted as still pending.
-            consumed[groups[done:lo]] = occ[done:lo]
-            self._done = lo
-        first_meta = -1
-        mi = self._meta_idx
-        if mi:
-            k = _bisect_left(mi, lo)
-            if k < len(mi) and mi[k] < hi:
-                first_meta = mi[k]
-        hi_lim = first_meta if first_meta >= 0 else hi
-        tracker = self._tracker
-        gview = tracker._gct_view()
-        tg = tracker.tg
-        rows = self._rows
-        rcc = tracker.rcc
-        data = rcc._data
-        sets = rcc.sets
-        th = tracker.th
-        # The saturation mask of the first block is cached: commit of
-        # [lo, e) follows immediately with no tracker mutation in
-        # between, so it can reuse it instead of re-gathering the GCT
-        # (commit re-gathers itself on the rare multi-block segment).
-        self._ana = None
-        per_row: dict = {}
-        blo = lo
-        blk = self.BLOCK
-        blk_max = self.BLOCK_MAX
-        while blo < hi_lim:
-            bhi = blo + blk
-            if blk < blk_max:
-                blk *= 4
-            if bhi > hi_lim:
-                bhi = hi_lim
-            seg_g = groups[blo:bhi]
-            base = gview[seg_g]
-            pending = occ[blo:bhi] - consumed[seg_g]
-            sat = base >= tg
-            cross = ~sat & (base + pending >= tg)
-            cnz = cross.nonzero()[0]
-            esc_cross = blo + int(cnz[0]) if cnz.size else -1
-            esc_rcc = -1
-            snz = sat.nonzero()[0]
-            if snz.size:
-                if esc_cross >= 0:
-                    snz = snz[: int(snz.searchsorted(esc_cross - blo))]
-                for rel, row in zip(
-                    snz.tolist(), rows[blo + snz].tolist()
-                ):
-                    state = per_row.get(row)
-                    if state is None:
-                        entry = data[row % sets].get(row)
-                        if entry is None:  # RCC miss: RCT traffic
-                            esc_rcc = blo + rel
-                            break
-                        state = [entry[0], 0]
-                        per_row[row] = state
-                    state[1] += 1
-                    if state[0] + state[1] >= th:  # would mitigate
-                        esc_rcc = blo + rel
-                        break
-            if blo == lo:
-                self._ana = (lo, bhi, sat)
-            if esc_cross >= 0 or esc_rcc >= 0:
-                if esc_cross < 0 or (0 <= esc_rcc < esc_cross):
-                    return esc_rcc, hi
-                return esc_cross, hi
-            blo = bhi
-        return first_meta, hi
-
-    def commit(self, lo: int, hi: int, skip) -> None:
-        """Apply [lo, hi) minus the ``skip`` positions (row hits)."""
-        tracker0 = self._tracker
-        if hi - lo <= 48 and isinstance(tracker0.gct._counts, array):
-            # Scalar path for short segments (the common case: the
-            # median committed segment is a few dozen requests, where
-            # numpy dispatch overhead dominates). Counts are read and
-            # bumped in order, which matches the vector path's
-            # snapshot-then-bincount semantics because ``classify``
-            # guarantees no group *crosses* T_G inside a committed
-            # segment — a group is either saturated throughout or
-            # stays strictly below T_G even after every increment.
-            g_l = self._groups_l
-            if g_l is None:
-                g_l = self._groups_l = self._groups.tolist()
-                self._occ_l = self._occ.tolist()
-                self._rows_l = self._rows.tolist()
-            occ_l = self._occ_l
-            rows_l = self._rows_l
-            ca = self._consumed_a
-            counts_a = tracker0.gct._counts
-            tg = tracker0.tg
-            skip_s = set(skip) if skip else ()
-            per_row = None
-            n_sat = 0
-            n_gct = 0
-            for j in range(lo, hi):
-                g = g_l[j]
-                ca[g] = occ_l[j]
-                if j in skip_s:
-                    continue
-                cval = counts_a[g]
-                if cval >= tg:
-                    row = rows_l[j]
-                    if per_row is None:
-                        per_row = {}
-                    per_row[row] = per_row.get(row, 0) + 1
-                    n_sat += 1
-                else:
-                    counts_a[g] = cval + 1
-                    n_gct += 1
-            self._done = hi
-            if n_sat:
-                rcc = tracker0.rcc
-                data = rcc._data
-                sets = rcc.sets
-                for row, add in per_row.items():
-                    entry = data[row % sets][row]
-                    entry[0] += add
-                    entry[1] = 0  # SRRIP promotion, as scalar hits do
-                rcc.hits += n_sat
-                tracker0.stats.rcc_hits += n_sat
-            if n_gct:
-                tracker0.stats.gct_only += n_gct
-            return
-        groups = self._groups
-        seg_g = groups[lo:hi]
-        self._consumed[seg_g] = self._occ[lo:hi]
-        self._done = hi
-        idx = None
-        if skip:
-            keep = np.ones(hi - lo, dtype=bool)
-            keep[np.asarray(skip, dtype=np.int64) - lo] = False
-            seg_g = seg_g[keep]
-            idx = np.nonzero(keep)[0] + lo
-        n = seg_g.size
-        if not n:
-            return
-        tracker = self._tracker
-        gview = tracker._gct_view()
-        ana = self._ana
-        if ana is not None and ana[0] == lo and ana[1] >= hi:
-            sat = ana[2][: hi - lo]
-            if idx is not None:
-                sat = sat[keep]
-        else:
-            sat = gview[seg_g] >= tracker.tg
-        n_sat = int(np.count_nonzero(sat))
-        if n_sat:
-            sat_pos = (
-                idx[sat] if idx is not None else np.nonzero(sat)[0] + lo
-            )
-            per_row: dict = {}
-            for row in self._rows[sat_pos].tolist():
-                per_row[row] = per_row.get(row, 0) + 1
-            rcc = tracker.rcc
-            data = rcc._data
-            sets = rcc.sets
-            for row, add in per_row.items():
-                entry = data[row % sets][row]
-                entry[0] += add
-                entry[1] = 0  # SRRIP promotion, as scalar hits do
-            rcc.hits += n_sat
-            tracker.stats.rcc_hits += n_sat
-        if n_sat < n:
-            gg = seg_g[~sat] if n_sat else seg_g
-            gmin = int(gg.min())
-            counts = np.bincount(gg - gmin)
-            gview[gmin : gmin + counts.size] += counts
-            tracker.stats.gct_only += n - n_sat
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 class MetaAccess(NamedTuple):
     """One metadata access to the DRAM array requested by a tracker.
@@ -89,40 +87,6 @@ class ActivationTracker(abc.ABC):
         """
         return {}
 
-    # -- batch hook (engine=vector; opt-in) ----------------------------
-
-    def apply_batch(self, rows, counts=None, commit: bool = True):
-        """Classify (and optionally commit) a batch of activations.
-
-        The vector engine hands over a numpy ``int64`` array of
-        activated row ids in program order (``rows`` may contain
-        duplicates; ``counts``, when given, holds per-entry
-        multiplicities and defaults to one each). The tracker returns a
-        boolean *escape mask* aligned with ``rows``: ``True`` marks
-        activations whose update cannot be applied out of order — a
-        mitigation would fire, metadata traffic is needed, a structure
-        transition (e.g. Hydra's GCT→RCT spill) would occur — and must
-        go through the scalar :meth:`on_activation` path instead.
-
-        Contract:
-
-        - ``commit=False`` never mutates tracker state (pure
-          classification);
-        - ``commit=True`` with an all-``False`` mask applies every
-          update before returning (order-independent by construction,
-          so the resulting state is bit-identical to scalar replay of
-          the batch);
-        - ``commit=True`` with any ``True`` in the mask applies
-          *nothing* — the engine shrinks the batch and retries;
-        - returning ``None`` opts out of batching entirely; the engine
-          falls back to the scalar path. The default does exactly
-          that, so every tracker runs unchanged under ``engine=vector``
-          until it implements this hook. Whether ``None`` is returned
-          must depend only on configuration, never on the batch
-          contents — the engine probes once per run.
-        """
-        return None
-
     # -- observability (repro.obs; all optional to implement) ----------
 
     def obs_snapshot(self) -> Dict[str, float]:
@@ -166,10 +130,6 @@ class NullTracker(ActivationTracker):
 
     def sram_bytes(self) -> int:
         return 0
-
-    def apply_batch(self, rows, counts=None, commit: bool = True):
-        """Everything batches trivially: no state, no escapes."""
-        return np.zeros(len(rows), dtype=bool)
 
 
 def merge_responses(

@@ -1,12 +1,11 @@
 """Shared engine surface of the memory-controller layer.
 
-The repository ships three scheduling *engines* — the fast in-order
-:class:`~repro.memctrl.controller.MemoryController`, the
+The repository ships two scheduling *engines*, one per fidelity
+level — the fast in-order
+:class:`~repro.memctrl.controller.MemoryController` and the
 discrete-event FR-FCFS
-:class:`~repro.memctrl.queued.QueuedMemoryController`, and the
-numpy-batched :class:`~repro.memctrl.vector.VectorMemoryController`
-(bit-identical to ``fast``) — which differ only in *how* requests are
-scheduled. Everything else is one design:
+:class:`~repro.memctrl.queued.QueuedMemoryController` — which differ
+only in *how* requests are scheduled. Everything else is one design:
 
 - construction: banks, channel buses, rank activation windows, the
   refresh timeline, the victim-refresh policy, the tracker-feedback
@@ -46,7 +45,7 @@ from repro.memctrl.feedback import TrackerFeedback, WindowResetSchedule
 from repro.memctrl.mitigation import VictimRefreshPolicy
 
 #: The selectable scheduling engines, in documentation order.
-ENGINES: Tuple[str, ...] = ("fast", "queued", "vector")
+ENGINES: Tuple[str, ...] = ("fast", "queued")
 
 
 def normalize_engine(engine: str) -> str:

@@ -24,10 +24,12 @@ Pieces:
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Dict, Optional
 
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.interfaces import ActivationTracker
+from repro.memctrl.base import EngineRunOutcome, drive_in_order
 from repro.memctrl.controller import MemoryController
 
 
@@ -113,13 +115,17 @@ class RowSwapController(MemoryController):
         physical = self.indirection.physical_of(row_id)
         return super().access(at, physical, n_lines, is_write)
 
+    def run_trace(self, trace, mlp: int = 16) -> EngineRunOutcome:
+        """Replay a trace through :meth:`access`.
+
+        The inherited fused loop inlines the parent's ``access`` and
+        activation reporting, so it would bypass both the
+        logical->physical translation and the swap mitigation.
+        """
+        return drive_in_order(trace, self.access, mlp)
+
     # Mitigation: swap instead of victim refresh.
     def _report_activation(self, row_id: int, at: float) -> float:
-        # Reuse the parent plumbing for metadata; intercept mitigation
-        # by wrapping the policy call. Simplest correct approach: run
-        # the tracker directly here.
-        from collections import deque
-
         delay = 0.0
         pending = deque(((row_id, 0),))
         while pending:
@@ -130,23 +136,8 @@ class RowSwapController(MemoryController):
                 continue
             delay += response.delay_ns
             for meta in response.meta_accesses:
-                meta_bank_index = meta.row_id // self._rows_per_bank
-                meta_bus = self.buses[
-                    meta_bank_index // self._banks_per_channel
-                ]
-                self.stats.meta_accesses += 1
-                self.stats.meta_line_transfers += meta.n_lines
-                if meta.is_write and self.defer_meta_writes:
-                    meta_bus.transfer(at, meta.n_lines)
-                    continue
-                meta_result = self.banks[meta_bank_index].access(
-                    at,
-                    meta.row_id % self._rows_per_bank,
-                    meta.n_lines,
-                    meta_bus,
-                    meta.is_write,
-                )
-                if meta_result.activated and depth < self.max_feedback_depth:
+                activated = self.perform_meta_access(meta, at)
+                if activated and depth < self.max_feedback_depth:
                     pending.append((meta.row_id, depth + 1))
             for aggressor in response.mitigate_rows:
                 partner = self._pick_partner(aggressor)

@@ -39,6 +39,10 @@ DEFAULT_EVENT_POLL_S = 0.1
 #: Largest request body accepted (a submitted grid is a few KB).
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines accepted per request. A line longer than the
+#: ``StreamReader`` limit (64 KiB by default) is refused as well.
+MAX_HEADERS = 100
+
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
 
 
@@ -165,20 +169,22 @@ class SweepService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         if not request_line.strip():
             return None
         try:
-            method, path, _version = request_line.decode().split()
+            method, path, _version = request_line.split()
         except ValueError:
             return None
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
+        for _ in range(MAX_HEADERS + 1):
+            line = await _read_line(reader)
+            if line in ("\r\n", "\n", ""):
                 break
-            name, _, value = line.decode().partition(":")
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise RequestRejected(431, f"more than {MAX_HEADERS} header lines")
         length = _body_length(headers.get("content-length", "0"))
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
@@ -236,6 +242,22 @@ class SweepService:
             await asyncio.sleep(self.event_poll_s)
 
 
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    """One request or header line, decoded.
+
+    Raises :class:`RequestRejected`: 431 for a line over the reader's
+    limit, 400 for bytes that are not UTF-8.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:  # asyncio's report of a line over the limit
+        raise RequestRejected(431, "request or header line too long") from None
+    try:
+        return line.decode()
+    except UnicodeDecodeError:
+        raise RequestRejected(400, "request line or header is not UTF-8") from None
+
+
 def _body_length(value: str) -> int:
     """Validate a ``Content-Length`` value before any body is read.
 
@@ -265,6 +287,7 @@ def _reason(status: int) -> str:
         405: "Method Not Allowed",
         409: "Conflict",
         413: "Payload Too Large",
+        431: "Request Header Fields Too Large",
     }.get(status, "OK")
 
 

@@ -1,11 +1,11 @@
 """GridSpec: one value object answering "what grid should run?".
 
-A sweep used to be described positionally — ``run_grid(tracker_names,
-workload_names)`` against whatever config the runner happened to hold.
-That shape cannot leave the process: the sweep service (DESIGN.md §15)
-needs a grid that serializes, round-trips canonically, and enumerates
-its own cells so a broker can shard them. :class:`GridSpec` is that
-object, the grid-shaped sibling of :class:`~repro.sim.spec.RunSpec`:
+A sweep must be able to leave the process: the sweep service
+(DESIGN.md §15) needs a grid that serializes, round-trips canonically,
+and enumerates its own cells so a broker can shard them.
+:class:`GridSpec` is that object — the one way every grid entry point
+(``run_grid``, ``repro.api.sweep``, the service) is told what to run —
+and the grid-shaped sibling of :class:`~repro.sim.spec.RunSpec`:
 
 - ``trackers`` — registry spec strings, canonicalized on construction
   so spelling variants of one configuration compare (and cache) equal;
@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.config import SystemConfig
 from repro.trackers.registry import canonical_spec
@@ -72,20 +72,6 @@ class GridSpec:
         for name in self.workloads:
             if name not in known:
                 raise ValueError(f"unknown workload {name!r}")
-
-    @classmethod
-    def coerce(
-        cls,
-        trackers: Sequence[str],
-        workloads: Optional[Sequence[str]] = None,
-        config: Optional[SystemConfig] = None,
-    ) -> "GridSpec":
-        """Build a GridSpec from the legacy positional arguments."""
-        return cls(
-            trackers=tuple(trackers),
-            workloads=tuple(workloads) if workloads else (),
-            config=config,
-        )
 
     # ------------------------------------------------------------------
 

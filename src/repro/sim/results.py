@@ -101,8 +101,8 @@ class RunResult:
     activations: int
     bus_utilization: float
     dram_power_w: float
-    #: Scheduling engine that produced the run (``fast`` | ``queued``
-    #: | ``vector``). Defaults to ``fast`` so pre-engine cached
+    #: Scheduling engine that produced the run (``fast`` | ``queued``).
+    #: Defaults to ``fast`` so pre-engine cached
     #: payloads still load.
     engine: str = "fast"
     #: Tracker- and engine-specific extras (e.g. Hydra's Figure 6

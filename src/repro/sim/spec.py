@@ -1,10 +1,8 @@
 """RunSpec: one value object answering "what exactly should run?".
 
-``simulate`` historically took three overlapping knobs —
-``tracker_name`` (a registry spec string), ``tracker`` (a prebuilt
-instance), and ``engine`` — and resolved their conflicts silently by
-precedence. :class:`RunSpec` replaces that with a single immutable
-description of a run:
+``simulate`` takes its tracker as a spec string, a RunSpec or a
+prebuilt instance, plus an optional ``engine``. :class:`RunSpec` is the
+single immutable description of a run all of those normalize to:
 
 - ``tracker`` — a registry spec string (``hydra``,
   ``hydra@trh=1000,rcc_kb=28``, ``baseline@engine=queued``, ...);
@@ -14,8 +12,8 @@ description of a run:
   construct trackers by hand (tests, the security harness). When set,
   ``tracker`` is just its display label and is never parsed.
 
-Conflicts now *raise* instead of resolving: naming a tracker two ways
-(``tracker_name=`` and ``tracker=``) is an error, and an explicit
+Conflicts *raise* instead of resolving: naming a tracker two ways
+(a spec and ``tracker=``) is an error, and an explicit
 ``engine=`` argument that contradicts an ``engine=`` parameter inside
 the spec string is an error (matching values are fine). Engine
 resolution otherwise keeps the established order: explicit argument,
@@ -77,23 +75,22 @@ class RunSpec:
     def coerce(
         cls,
         spec: Union[None, str, "RunSpec"] = None,
-        tracker_name: Optional[str] = None,
         tracker: Optional[ActivationTracker] = None,
         engine: Optional[str] = None,
     ) -> "RunSpec":
         """Normalize the public keyword surface into one RunSpec.
 
-        Exactly one way of naming the tracker is accepted: a
-        ready-made ``spec`` (RunSpec or spec string), a ``tracker_name``
-        spec string, or a prebuilt ``tracker`` instance. Redundant or
-        contradictory combinations raise ``ValueError`` — nothing is
-        resolved silently.
+        At most one way of naming the tracker is accepted: a
+        ready-made ``spec`` (RunSpec or spec string) or a prebuilt
+        ``tracker`` instance; with neither, :data:`DEFAULT_TRACKER`
+        runs. Redundant or contradictory combinations raise
+        ``ValueError`` — nothing is resolved silently.
         """
         if spec is not None:
-            if tracker_name is not None or tracker is not None:
+            if tracker is not None:
                 raise ValueError(
                     "pass a RunSpec/spec string alone, not together with"
-                    " tracker_name= or tracker="
+                    " tracker="
                 )
             if isinstance(spec, RunSpec):
                 if engine is not None and spec.engine not in (None, engine):
@@ -111,15 +108,9 @@ class RunSpec:
                 return spec
             return cls(tracker=str(spec), engine=engine)
         if tracker is not None:
-            if tracker_name is not None:
-                raise ValueError(
-                    "give tracker_name= (a spec string) or tracker="
-                    " (an instance), not both"
-                )
             label = getattr(tracker, "name", type(tracker).__name__)
             return cls(tracker=label, engine=engine, instance=tracker)
-        name = tracker_name if tracker_name is not None else DEFAULT_TRACKER
-        return cls(tracker=name, engine=engine)
+        return cls(tracker=DEFAULT_TRACKER, engine=engine)
 
     # ------------------------------------------------------------------
 

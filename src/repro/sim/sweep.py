@@ -67,7 +67,6 @@ from repro.sim.results import (
 )
 from repro.sim.simulator import simulate_workload, trace_for_workload
 from repro.trackers.registry import canonical_spec
-from repro.workloads.characteristics import all_names
 from repro.workloads.streaming import TraceSource
 
 #: Bump to invalidate cached results when the model changes materially.
@@ -241,50 +240,40 @@ class ExperimentRunner:
         self._results[key] = result
         return result
 
-    def _coerce_grid(
-        self,
-        grid: Union[GridSpec, Sequence[str]],
-        workload_names: Optional[Sequence[str]],
-    ) -> GridSpec:
-        """Normalize the grid argument to a GridSpec against this
-        runner's config.
+    def _own_grid(self, grid: GridSpec) -> GridSpec:
+        """``grid`` pinned to this runner's config.
 
-        The positional ``(tracker_names, workload_names)`` form is the
-        deprecated shim: it builds the same GridSpec the blessed call
-        would pass. A GridSpec carrying its *own* config must agree
-        with the runner's — cache keys are computed from the runner's
-        config, and silently honouring a different one would mislabel
-        every cell.
+        A GridSpec carrying its *own* config must agree with the
+        runner's — cache keys are computed from the runner's config,
+        and silently honouring a different one would mislabel every
+        cell.
         """
-        if isinstance(grid, GridSpec):
-            if workload_names is not None:
-                raise ValueError(
-                    "pass a GridSpec alone, not together with"
-                    " workload_names"
-                )
-            if grid.config is not None and grid.config != self.config:
-                raise ValueError(
-                    "GridSpec.config disagrees with this runner's"
-                    " config; build the runner from the grid's config"
-                    " (repro.api.sweep does) or drop the grid's"
-                )
-            return grid.with_config(self.config)
-        return GridSpec.coerce(grid, workload_names, config=self.config)
+        if not isinstance(grid, GridSpec):
+            raise TypeError(
+                "run_grid takes a GridSpec, e.g. GridSpec(trackers=("
+                "'baseline', 'hydra'), workloads=('leela',)); got"
+                f" {type(grid).__name__}"
+            )
+        if grid.config is not None and grid.config != self.config:
+            raise ValueError(
+                "GridSpec.config disagrees with this runner's"
+                " config; build the runner from the grid's config"
+                " (repro.api.sweep does) or drop the grid's"
+            )
+        return grid.with_config(self.config)
 
     def run_grid(
         self,
-        tracker_names: Union[GridSpec, Sequence[str]],
-        workload_names: Optional[Sequence[str]] = None,
+        grid: GridSpec,
+        *,
         jobs: Optional[int] = None,
         progress: Optional[bool] = None,
         job_id: str = "",
     ) -> GridResult:
         """tracker -> workload -> RunResult for the whole grid.
 
-        The blessed argument is a :class:`~repro.sim.grid.GridSpec`;
-        the legacy positional ``(tracker_names, workload_names)`` form
-        is kept as a thin deprecated shim that builds the equivalent
-        GridSpec.
+        ``grid`` is a :class:`~repro.sim.grid.GridSpec`; a config it
+        carries must match the runner's.
 
         Returns a :class:`~repro.sim.results.GridResult` — dict-style
         access is unchanged, with ``.comparisons()``/``.slowdowns()``/
@@ -300,7 +289,7 @@ class ExperimentRunner:
         after the grid completes; ``job_id`` stamps those records
         (the sweep service passes its job id here).
         """
-        spec = self._coerce_grid(tracker_names, workload_names)
+        spec = self._own_grid(grid)
         self._manifest_job_id = job_id
         names = spec.resolved_workloads()
         trackers = list(spec.trackers)
@@ -412,8 +401,8 @@ class ExperimentRunner:
 
     def compare(
         self,
-        tracker_name: Union[str, GridSpec],
-        workload_names: Optional[Sequence[str]] = None,
+        tracker: Union[str, GridSpec],
+        workloads: Optional[Sequence[str]] = None,
         baseline_name: str = "baseline",
         jobs: Optional[int] = None,
         progress: Optional[bool] = None,
@@ -424,35 +413,28 @@ class ExperimentRunner:
         plain list of :class:`Comparison` plus ``.geomean()``/
         ``.suite_geomeans()``/``.slowdowns()``/``.to_table()``.
 
-        The tracked column may be named by a spec string (the legacy
-        shim) or carried in a single-tracker
-        :class:`~repro.sim.grid.GridSpec` (whose workload axis is then
-        used). Both columns of the comparison go through
+        The tracked column may be named by a spec string or carried in
+        a single-tracker :class:`~repro.sim.grid.GridSpec` (whose
+        workload axis is then used). Both columns of the comparison go through
         :meth:`run_grid`, so ``jobs``/``REPRO_JOBS`` parallelism
         applies here too.
         """
-        if isinstance(tracker_name, GridSpec):
-            grid_spec = tracker_name
-            if len(grid_spec.trackers) != 1:
+        if isinstance(tracker, GridSpec):
+            if len(tracker.trackers) != 1:
                 raise ValueError(
                     "compare() takes a single-tracker GridSpec; run"
                     " multi-tracker grids through run_grid()"
                 )
-            if workload_names is not None:
+            if workloads is not None:
                 raise ValueError(
-                    "pass a GridSpec alone, not together with"
-                    " workload_names"
+                    "pass a GridSpec alone, not together with workloads"
                 )
-            tracker = grid_spec.trackers[0]
-            names = grid_spec.resolved_workloads()
-        else:
-            tracker = tracker_name
-            names = (
-                list(workload_names) if workload_names else all_names()
-            )
+            tracker, workloads = tracker.trackers[0], tracker.workloads
         grid = self.run_grid(
-            [baseline_name, tracker],
-            names,
+            GridSpec(
+                trackers=(baseline_name, tracker),
+                workloads=tuple(workloads or ()),
+            ),
             jobs=jobs,
             progress=progress,
         )

@@ -43,8 +43,10 @@ class LineMetadataCache:
 
     def __init__(self, capacity_bytes: int, line_bytes: int = 64, ways: int = 16) -> None:
         lines = capacity_bytes // line_bytes
-        if lines < ways or lines % ways:
-            raise ValueError("capacity must hold a whole number of sets")
+        if ways < 1 or lines < ways or lines % ways:
+            raise ValueError(
+                "need at least one way and a capacity of whole sets"
+            )
         self.sets = lines // ways
         self.ways = ways
         self._sets: List["OrderedDict[int, None]"] = [

@@ -89,6 +89,8 @@ class TrackerContext:
         self, trh: int, structure_scale: Optional[int] = None
     ) -> "TrackerContext":
         """Retarget T_RH, scaling structures as Figure 7 does."""
+        if trh < 1:
+            raise ValueError(f"trh must be at least 1, got {trh}")
         if structure_scale is None:
             structure_scale = max(1, 500 // trh)
         return replace(self, trh=trh, structure_scale=structure_scale)
@@ -361,6 +363,11 @@ def _coerce(spec: str, name: str, param: Param, raw: str) -> Any:
             f"bad value for {name!r} in spec {spec!r}: {raw!r} is not"
             f" {param.type.__name__}"
         ) from None
+    if param.type is int and not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(
+            f"bad value for {name!r} in spec {spec!r}: {raw!r} does not"
+            " fit in 64 bits"
+        )
     if param.choices is not None and value not in param.choices:
         raise ValueError(
             f"bad value for {name!r} in spec {spec!r}: {raw!r} is not one"

@@ -1,4 +1,7 @@
-"""Workloads: Table 3 characteristics, trace generation, attacks."""
+"""Workloads: Table 3 characteristics and trace generation.
+
+Attack traffic lives in :mod:`repro.attacks`.
+"""
 
 from repro.workloads.characteristics import (
     BY_NAME,
@@ -37,7 +40,6 @@ from repro.workloads.trace import (
     characterize,
     statistics_by_window,
 )
-from repro.workloads import attacks
 
 __all__ = [
     "BY_NAME",
@@ -55,7 +57,6 @@ __all__ = [
     "WorkloadCharacteristics",
     "all_names",
     "attack_alongside",
-    "attacks",
     "merge_traces",
     "characterize",
     "characterize_chunks",

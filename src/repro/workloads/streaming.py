@@ -466,10 +466,12 @@ class ExternalTraceReader(_StreamingSourceBase):
                         f"{self.path}:{lineno}: access type must be R or"
                         f" W, got {fields[1]!r}"
                     )
-                if row < 0 or n_lines < 1:
+                # The bounds of the int64 row / int32 line arrays.
+                if not (0 <= row < 1 << 63 and 1 <= n_lines < 1 << 31):
                     raise ValueError(
                         f"{self.path}:{lineno}: row_id must be >= 0 and"
-                        f" n_lines >= 1 in {raw.strip()!r}"
+                        f" n_lines >= 1 (and each fit its int64/int32"
+                        f" array) in {raw.strip()!r}"
                     )
                 gaps.append(gap)
                 rows.append(row)

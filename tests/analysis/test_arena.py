@@ -11,7 +11,7 @@ from repro.analysis.arena import (
     ArenaCell,
     OracleOutcome,
     mark_pareto,
-    oracle_sequence,
+    oracle_attack,
     run_arena,
 )
 from repro.analysis.report import render_arena
@@ -52,41 +52,43 @@ def cell(**overrides) -> ArenaCell:
 
 class TestOracleSequences:
     def test_single_crosses_threshold_twice(self):
-        rows, exercised = oracle_sequence("single", 1000, 4096, ACT_MAX)
+        compiled, exercised = oracle_attack("single", 1000, 4096, ACT_MAX)
+        rows = compiled.rows()
         assert exercised
         assert rows == [5] * len(rows)
         assert len(rows) > 2 * 500
 
     def test_single_unexercised_when_window_too_small(self):
         """A scaled window smaller than T_H cannot host the attack."""
-        _, exercised = oracle_sequence("single", 139_000, 4096, 10_000)
+        _, exercised = oracle_attack("single", 139_000, 4096, 10_000)
         assert not exercised
 
     def test_many_overflows_small_queues(self):
-        rows, exercised = oracle_sequence("many", 1000, 4096, ACT_MAX)
+        compiled, exercised = oracle_attack("many", 1000, 4096, ACT_MAX)
         assert exercised
+        rows = compiled.rows()
         assert len(set(rows)) == MANY_AGGRESSORS > 16
 
     def test_many_shrinks_to_sanity_size_when_capped(self):
         """Once the cap makes the threshold unreachable, the sequence
         shrinks instead of burning the full budget on a vacuous run."""
-        rows, exercised = oracle_sequence("many", 139_000, 4096, ACT_MAX)
+        compiled, exercised = oracle_attack("many", 139_000, 4096, ACT_MAX)
         assert not exercised
-        assert len(rows) <= MANY_AGGRESSORS * 2048
+        assert len(compiled.rows()) <= MANY_AGGRESSORS * 2048
 
     def test_random_is_sanity_only(self):
-        rows, exercised = oracle_sequence("random", 1000, 64, ACT_MAX)
+        compiled, exercised = oracle_attack("random", 1000, 64, ACT_MAX)
         assert not exercised
-        assert all(0 <= row < 64 for row in rows)
+        assert all(0 <= row < 64 for row in compiled.rows())
 
     def test_random_is_deterministic(self):
-        first, _ = oracle_sequence("random", 1000, 4096, ACT_MAX)
-        second, _ = oracle_sequence("random", 1000, 4096, ACT_MAX)
-        assert first == second
+        first, _ = oracle_attack("random", 1000, 4096, ACT_MAX)
+        second, _ = oracle_attack("random", 1000, 4096, ACT_MAX)
+        assert first.rows() == second.rows()
 
     def test_unknown_sequence_rejected(self):
         with pytest.raises(ValueError):
-            oracle_sequence("half-pipe", 1000, 4096, ACT_MAX)
+            oracle_attack("half-pipe", 1000, 4096, ACT_MAX)
 
 
 class TestVerdicts:

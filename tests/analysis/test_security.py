@@ -10,12 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.security import SecurityHarness, verify_tracker
+from repro.attacks.programs import (
+    double_sided_program,
+    half_double_program,
+    many_sided_program,
+    rct_region_program,
+    single_sided_program,
+    thrash_then_hammer_program,
+)
 from repro.core.config import HydraConfig
 from repro.core.hydra import HydraTracker
 from repro.dram.timing import DramGeometry
 from repro.trackers.graphene import GrapheneTracker
 from repro.trackers.ocpr import OcprTracker
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -47,49 +55,57 @@ def assert_secure(tracker, sequence, window_every=None):
 
 class TestHydraTheorem1:
     def test_single_sided(self):
-        report = assert_secure(make_hydra(), attacks.single_sided(5, 3000))
+        report = assert_secure(
+            make_hydra(), rows(single_sided_program(5, 3000))
+        )
         assert report.mitigations >= 3000 // TH - 1
 
     def test_double_sided(self):
-        assert_secure(make_hydra(), attacks.double_sided(100, 2000))
+        assert_secure(make_hydra(), rows(double_sided_program(100, 2000)))
 
     def test_many_sided_trrespass(self):
-        seq = attacks.many_sided(list(range(200, 232)), rounds=200)
+        seq = rows(many_sided_program(range(200, 232), rounds=200))
         assert_secure(make_hydra(), seq)
 
     def test_half_double(self):
-        report = assert_secure(make_hydra(), attacks.half_double(300, 5000))
+        report = assert_secure(
+            make_hydra(), rows(half_double_program(300, 5000))
+        )
         assert report.victim_refreshes > 0
 
     def test_thrash_cannot_escape(self):
         """Decoys exhaust the GCT but the RCT backstop still counts."""
-        seq = attacks.thrash_then_hammer(
-            5, list(range(512, 900)), hammers=2000, interleave=4
-        )
+        seq = rows(thrash_then_hammer_program(
+            5, range(512, 900), hammers=2000, interleave=4
+        ))
         assert_secure(make_hydra(), seq)
 
     def test_rct_region_hammering_guarded(self):
         """§5.2.2: hammering the counter rows triggers RIT-ACT."""
-        seq = attacks.rct_region_attack(GEOMETRY, hammers=2000)
+        seq = rows(rct_region_program(GEOMETRY, hammers=2000))
         report = assert_secure(make_hydra(), seq)
         assert report.mitigations > 0
 
     def test_secure_across_window_resets(self):
-        seq = attacks.single_sided(5, 5000)
+        seq = rows(single_sided_program(5, 5000))
         assert_secure(make_hydra(), seq, window_every=1500)
 
     def test_nogct_ablation_still_secure(self):
-        assert_secure(make_hydra(enable_gct=False), attacks.single_sided(5, 2000))
+        assert_secure(
+            make_hydra(enable_gct=False), rows(single_sided_program(5, 2000))
+        )
 
     def test_norcc_ablation_still_secure(self):
-        assert_secure(make_hydra(enable_rcc=False), attacks.single_sided(5, 2000))
+        assert_secure(
+            make_hydra(enable_rcc=False), rows(single_sided_program(5, 2000))
+        )
 
     def test_tiny_rcc_still_secure(self):
         """Performance structure sizes must not affect security."""
         tracker = make_hydra(rcc_entries=2, rcc_ways=2)
-        seq = attacks.thrash_then_hammer(
-            5, list(range(512, 700)), hammers=1500, interleave=2
-        )
+        seq = rows(thrash_then_hammer_program(
+            5, range(512, 700), hammers=1500, interleave=2
+        ))
         assert_secure(tracker, seq)
 
 
@@ -98,7 +114,7 @@ class TestBaselineTrackers:
         report = verify_tracker(
             OcprTracker(GEOMETRY, trh=TRH),
             GEOMETRY,
-            attacks.single_sided(5, 1000),
+            rows(single_sided_program(5, 1000)),
             TH,
         )
         assert report.secure
@@ -106,7 +122,7 @@ class TestBaselineTrackers:
 
     def test_graphene_secure_when_provisioned(self):
         tracker = GrapheneTracker(GEOMETRY, trh=TRH, entries_per_bank=64)
-        seq = attacks.many_sided(list(range(10, 40)), rounds=100)
+        seq = rows(many_sided_program(range(10, 40), rounds=100))
         report = verify_tracker(tracker, GEOMETRY, seq, TH)
         assert report.secure
 
@@ -135,7 +151,7 @@ class TestHarnessMechanics:
         from repro.interfaces import NullTracker
 
         report = verify_tracker(
-            NullTracker(), GEOMETRY, attacks.single_sided(5, TH + 10), TH
+            NullTracker(), GEOMETRY, rows(single_sided_program(5, TH + 10)), TH
         )
         assert not report.secure
         assert report.violations[0].row == 5
@@ -147,7 +163,7 @@ class TestHarnessMechanics:
         harness = SecurityHarness(
             NullTracker(), GEOMETRY, TH, max_violations=4
         )
-        report = harness.run(attacks.single_sided(5, 10_000))
+        report = harness.run(rows(single_sided_program(5, 10_000)))
         assert len(report.violations) == 4
 
     def test_rejects_bad_threshold(self):
@@ -275,7 +291,7 @@ class TestVerifyTrackerKnobs:
         report = verify_tracker(
             NullTracker(),
             GEOMETRY,
-            attacks.single_sided(5, 10_000),
+            rows(single_sided_program(5, 10_000)),
             TH,
             max_violations=2,
         )

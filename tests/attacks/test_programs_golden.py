@@ -1,11 +1,10 @@
-"""Golden-parity tests: compiled programs vs the legacy generators.
+"""Golden-parity tests: compiled programs vs the retired generators.
 
-The hand-written generators that used to live in
-``repro.workloads.attacks`` are re-implemented here verbatim as
-*reference* functions; every DSL program (and every legacy shim) must
-reproduce their output bit-identically. This is the contract that let
-the attack zoo be replaced by programs without touching a single
-pinned harness outcome.
+The hand-written Python generators the attack DSL replaced are
+re-implemented here verbatim as *reference* functions; every DSL program must reproduce their output
+bit-identically. This is the contract that let the attack zoo be
+replaced by programs without touching a single pinned harness outcome.
+The programs are now the only producer of these sequences.
 """
 
 import itertools
@@ -23,11 +22,9 @@ from repro.attacks.programs import (
     single_sided_program,
     thrash_then_hammer_program,
 )
-from repro.attacks.compile import compile_program
-from repro.attacks.resolve import resolve
 from repro.core.rct import RowCountTable
 from repro.dram.timing import PAPER_GEOMETRY, DramGeometry
-from repro.workloads import attacks
+from tests.attack_rows import rows as rows_of
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -102,10 +99,6 @@ def ref_rct_region_attack(geometry, hammers, counter_bytes=1):
     return list(itertools.islice(itertools.cycle(first_two), hammers))
 
 
-def rows_of(program):
-    return compile_program(resolve(program)).rows()
-
-
 class TestProgramParity:
     """DSL programs compile to the reference outputs bit-identically."""
 
@@ -172,61 +165,70 @@ class TestProgramParity:
 
 
 class TestShimParity:
-    """The legacy facade returns the reference outputs (and raises the
-    historical validation errors)."""
+    """Programs built with the arguments the retired generator facade
+    took return the reference outputs (and raise its historical
+    validation errors)."""
 
     def test_outputs_match_references(self):
-        assert attacks.single_sided(5, 100) == ref_single_sided(5, 100)
-        assert attacks.double_sided(50, 37) == ref_double_sided(50, 37)
-        assert attacks.many_sided([1, 5, 9], 4) == ref_many_sided(
+        assert rows_of(single_sided_program(5, 100)) == ref_single_sided(
+            5, 100
+        )
+        assert rows_of(double_sided_program(50, 37)) == ref_double_sided(
+            50, 37
+        )
+        assert rows_of(many_sided_program([1, 5, 9], 4)) == ref_many_sided(
             [1, 5, 9], 4
         )
-        assert attacks.half_double(500, 2500) == ref_half_double(500, 2500)
-        assert attacks.thrash_then_hammer(
-            5, range(20, 30), 33, 3
-        ) == ref_thrash_then_hammer(5, range(20, 30), 33, 3)
-        assert attacks.rcc_thrash(GEOMETRY, 50, 3) == ref_rcc_thrash(
-            GEOMETRY, 50, 3
+        assert rows_of(half_double_program(500, 2500)) == ref_half_double(
+            500, 2500
         )
-        assert attacks.rct_region_attack(
-            GEOMETRY, 101
+        assert rows_of(
+            thrash_then_hammer_program(5, range(20, 30), 33, 3)
+        ) == ref_thrash_then_hammer(5, range(20, 30), 33, 3)
+        assert rows_of(
+            rcc_thrash_program(GEOMETRY, 50, 3), geometry=GEOMETRY
+        ) == ref_rcc_thrash(GEOMETRY, 50, 3)
+        assert rows_of(
+            rct_region_program(GEOMETRY, 101), geometry=GEOMETRY
         ) == ref_rct_region_attack(GEOMETRY, 101)
 
     def test_historical_validation_errors(self):
         with pytest.raises(ValueError):
-            attacks.single_sided(5, -1)
+            single_sided_program(5, -1)
         with pytest.raises(ValueError):
-            attacks.double_sided(0, 5)
+            double_sided_program(0, 5)
         with pytest.raises(ValueError):
-            attacks.many_sided([], 5)
+            many_sided_program([], 5)
         with pytest.raises(ValueError):
-            attacks.half_double(1, 5)
+            half_double_program(1, 5)
         with pytest.raises(ValueError):
-            attacks.thrash_then_hammer(5, [1], 5, interleave=0)
+            thrash_then_hammer_program(5, [1], 5, interleave=0)
 
 
 class TestShimBounds:
-    """The new optional geometry validation (the silent-bounds bugfix)."""
+    """Geometry validation at resolve time (the silent-bounds bugfix)."""
 
     def test_double_sided_top_row_raises_with_geometry(self):
         from repro.attacks.resolve import AttackBoundsError
 
         top = GEOMETRY.total_rows - 1
         with pytest.raises(AttackBoundsError):
-            attacks.double_sided(top, 2, geometry=GEOMETRY)
+            rows_of(double_sided_program(top, 2), geometry=GEOMETRY)
 
     def test_double_sided_top_row_clamps_on_request(self):
         top = GEOMETRY.total_rows - 1
-        rows = attacks.double_sided(top, 2, geometry=GEOMETRY, bounds="clamp")
+        rows = rows_of(
+            double_sided_program(top, 2), geometry=GEOMETRY, bounds="clamp"
+        )
         assert rows == [top - 1, top, top - 1, top]
         assert max(rows) < GEOMETRY.total_rows
 
     def test_without_geometry_keeps_historical_behaviour(self):
         top = GEOMETRY.total_rows - 1
-        rows = attacks.double_sided(top, 1)
+        rows = rows_of(double_sided_program(top, 1))
         assert rows == [top - 1, top + 1]  # out of range, as ever
 
     def test_rct_region_validates_unconditionally(self):
         # The meta rows live inside the geometry; this must not raise.
-        rows = attacks.rct_region_attack(GEOMETRY, 10)
+        rows = rows_of(rct_region_program(GEOMETRY, 10), geometry=GEOMETRY)
         assert all(0 <= r < GEOMETRY.total_rows for r in rows)

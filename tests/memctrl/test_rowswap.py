@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.core.config import HydraConfig
 from repro.core.hydra import HydraTracker
 from repro.dram.timing import DramGeometry, DramTiming
+from repro.memctrl.base import drive_in_order
 from repro.memctrl.rowswap import RowIndirectionTable, RowSwapController
+from repro.workloads.trace import Trace
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -141,3 +143,25 @@ class TestRowSwapController:
         # Every mitigation relocated the row, so the per-row counter
         # never exceeded T_H before being moved & reset.
         assert tracker.stats.mitigations >= 3
+
+    def test_run_trace_swaps_like_access(self):
+        """``run_trace`` must translate and swap exactly as the
+        per-request ``access`` path does, not take the parent's fused
+        loop (which bypasses both overrides)."""
+        trace = Trace.from_rows([7, 9] * 300)
+        via_run_trace = self.make()
+        outcome = via_run_trace.run_trace(trace, mlp=16)
+        via_access = self.make()
+        expected = drive_in_order(trace, via_access.access, 16)
+        assert outcome == expected
+        assert via_run_trace.stats == via_access.stats
+        assert via_access.indirection.swaps_performed > 0
+        assert (
+            via_run_trace.indirection.swaps_performed
+            == via_access.indirection.swaps_performed
+        )
+        assert (
+            via_run_trace.indirection._forward
+            == via_access.indirection._forward
+        )
+        assert via_run_trace.swap_data_lines == via_access.swap_data_lines

@@ -11,9 +11,11 @@ import pytest
 
 from repro.obs import OBS_ENV_VAR, obs_enabled, read_manifest
 from repro.sim import ExperimentRunner, SystemConfig, simulate
+from repro.sim.grid import GridSpec
 from repro.workloads.trace import Trace
 
 CONFIG = SystemConfig(scale=1 / 128, n_windows=1)
+BOTH_XZ_MCF = GridSpec(trackers=("baseline", "hydra"), workloads=("xz", "mcf"))
 
 
 def make_trace(rows, gap=50.0, name="synthetic"):
@@ -139,7 +141,7 @@ class TestSweepManifest:
         runner = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
-        runner.run_grid(["baseline", "hydra"], ["xz", "mcf"], progress=False)
+        runner.run_grid(BOTH_XZ_MCF, progress=False)
         records, skipped = read_manifest(manifest)
         assert skipped == 0
         assert len(records) == 4
@@ -157,7 +159,7 @@ class TestSweepManifest:
         rerun = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
         )
-        rerun.run_grid(["baseline", "hydra"], ["xz", "mcf"], progress=False)
+        rerun.run_grid(BOTH_XZ_MCF, progress=False)
         records, _ = read_manifest(manifest)
         assert len(records) == 8
         assert sum(r.from_cache for r in records) == 4
@@ -167,5 +169,7 @@ class TestSweepManifest:
         monkeypatch.delenv(OBS_ENV_VAR, raising=False)
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
         assert runner.manifest_path is None
-        runner.run_grid(["baseline"], ["xz"], progress=False)
+        runner.run_grid(
+            GridSpec(trackers=("baseline",), workloads=("xz",)), progress=False
+        )
         assert not (tmp_path / "manifest.jsonl").exists()

@@ -36,8 +36,7 @@ class TestRunParity:
 class TestSweepFacade:
     def test_sweep_local_handle(self, tmp_path):
         handle = api.sweep(
-            ["baseline"],
-            ["leela"],
+            GridSpec(trackers=("baseline",), workloads=("leela",)),
             config=CONFIG,
             pool="thread",
             workers=1,
@@ -49,7 +48,11 @@ class TestSweepFacade:
         assert handle.status().state == "completed"
 
     def test_sweep_gridspec_config_wins(self, tmp_path):
-        grid = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
+        grid = GridSpec(
+            trackers=("baseline",),
+            workloads=("leela",),
+            config=CONFIG,
+        )
         with pytest.raises(ValueError):
             api.sweep(
                 grid,
@@ -59,8 +62,12 @@ class TestSweepFacade:
             )
 
     def test_sweep_rejects_gridspec_plus_workloads(self, tmp_path):
-        grid = GridSpec.coerce(["baseline"], ["leela"], config=CONFIG)
-        with pytest.raises(ValueError):
+        grid = GridSpec(
+            trackers=("baseline",),
+            workloads=("leela",),
+            config=CONFIG,
+        )
+        with pytest.raises(TypeError):
             api.sweep(grid, ["gcc"], state_dir=tmp_path, cache_dir=tmp_path)
 
 
@@ -81,7 +88,11 @@ class TestCompareFacade:
         assert via_api.geomean() == direct.geomean()
 
     def test_compare_single_tracker_gridspec(self, tmp_path):
-        grid = GridSpec.coerce(["hydra"], ["leela"], config=CONFIG)
+        grid = GridSpec(
+            trackers=("hydra",),
+            workloads=("leela",),
+            config=CONFIG,
+        )
         comparisons = api.compare(
             grid, cache_dir=tmp_path, progress=False
         )
@@ -118,11 +129,11 @@ class TestBlessedExports:
 
 
 class TestDeprecations:
-    def test_simulate_tracker_name_kwarg_warns(self):
+    def test_simulate_tracker_name_kwarg_rejected(self):
+        """Only the spec (or an instance) names the tracker."""
         trace = trace_for_workload(CONFIG, "leela")
-        with pytest.warns(DeprecationWarning, match="tracker_name"):
-            result = simulate(trace, CONFIG, tracker_name="baseline")
-        assert result.tracker == "baseline"
+        with pytest.raises(TypeError, match="tracker_name"):
+            simulate(trace, CONFIG, tracker_name="baseline")
 
     def test_blessed_path_does_not_warn(self):
         trace = trace_for_workload(CONFIG, "leela")

@@ -5,10 +5,13 @@ import json
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service import ServiceClient, ServiceError, SweepBroker
 from repro.service.http import (
     MAX_BODY_BYTES,
+    MAX_HEADERS,
     RequestRejected,
     SweepService,
     serve_async,
@@ -17,7 +20,11 @@ from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
-GRID = GridSpec.coerce(["baseline"], ["leela", "gcc"], config=CONFIG)
+GRID = GridSpec(
+    trackers=("baseline",),
+    workloads=("leela", "gcc"),
+    config=CONFIG,
+)
 
 
 @pytest.fixture
@@ -58,7 +65,7 @@ class TestDispatch:
         assert "bad grid payload" in payload["error"]
 
     def test_submit_rejects_configless_grid(self, service):
-        grid = GridSpec.coerce(["baseline"], ["leela"])
+        grid = GridSpec(trackers=("baseline",), workloads=("leela",))
         status, payload = service.dispatch(
             "POST", "/jobs", submit_body(grid)
         )
@@ -157,8 +164,8 @@ def read_request(service, raw: bytes, eof: bool = True):
     return asyncio.run(main())
 
 
-def handle(service, raw: bytes, eof: bool = True):
-    """Run ``handle_client`` on in-memory streams; (status, payload)."""
+def handle_raw(service, raw: bytes, eof: bool = True) -> bytes:
+    """Run ``handle_client`` on in-memory streams; the bytes written."""
     writer = _MemoryWriter()
 
     async def main():
@@ -168,7 +175,12 @@ def handle(service, raw: bytes, eof: bool = True):
 
     asyncio.run(main())
     assert writer.closed
-    head, _, body = writer.data.partition(b"\r\n\r\n")
+    return writer.data
+
+
+def handle(service, raw: bytes, eof: bool = True):
+    """Run ``handle_client`` on in-memory streams; (status, payload)."""
+    head, _, body = handle_raw(service, raw, eof).partition(b"\r\n\r\n")
     status = int(head.split()[1])
     return status, json.loads(body)
 
@@ -236,6 +248,53 @@ class TestRequestLimits:
         status, payload = handle(service, post(str(len(body)), body))
         assert status == 201
         assert payload["total_cells"] == 2
+
+    def test_undecodable_header_is_400(self, service):
+        raw = b"GET /healthz HTTP/1.1\r\nX: \xff\xfe\r\n\r\n"
+        with pytest.raises(RequestRejected) as err:
+            read_request(service, raw)
+        assert err.value.status == 400
+        assert handle(service, raw)[0] == 400
+
+    @pytest.mark.parametrize("where", ["header", "request-line"])
+    def test_line_over_reader_limit_is_431(self, service, where):
+        long = "x" * (70 * 1024)
+        if where == "header":
+            raw = f"GET /healthz HTTP/1.1\r\nX: {long}\r\n\r\n"
+        else:
+            raw = f"GET /{long} HTTP/1.1\r\n\r\n"
+        with pytest.raises(RequestRejected) as err:
+            read_request(service, raw.encode())
+        assert err.value.status == 431
+        assert handle(service, raw.encode())[0] == 431
+
+    def test_header_count_is_capped_at_431(self, service):
+        def request(n_headers):
+            headers = "".join(f"X-{i}: y\r\n" for i in range(n_headers))
+            return f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode()
+
+        assert handle(service, request(MAX_HEADERS)) == (200, {"ok": True})
+        status, payload = handle(service, request(MAX_HEADERS + 1))
+        assert status == 431
+        assert str(MAX_HEADERS) in payload["error"]
+        assert handle_raw(service, request(MAX_HEADERS + 1)).startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        )
+
+    def test_repeated_header_name_still_counts(self, service):
+        raw = b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * (MAX_HEADERS + 1)
+        assert handle(service, raw + b"\r\n")[0] == 431
+
+    @given(raw=st.binary(max_size=512))
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_arbitrary_bytes_never_raise(self, service, raw):
+        """Whatever a client sends, ``handle_client`` answers or
+        closes; it never lets an exception escape."""
+        handle_raw(service, raw)
 
 
 class TestLiveServer:

@@ -8,9 +8,8 @@ The file records, for every registered tracker on every engine, the
 full ``RunResult`` of one representative figure-sweep cell, plus the
 ``cache_key()``/``trace_key()`` strings of the configurations the
 sweeps use. ``tests/sim/test_golden_parity.py`` asserts current code
-reproduces all of it field-for-field — and that every vector-engine
-cell matches its fast-engine cell exactly (the vector engine's
-bit-identity contract), so regenerating may only *add* cells.
+reproduces all of it field-for-field, so regenerating may only *add*
+cells.
 
 The committed copy was captured at the pre-optimization code (PR 3
 head), so it pins the "bit-identical results" guarantee of the hot-path
@@ -58,7 +57,6 @@ def capture() -> dict:
         "base_cache_key": base.cache_key(),
         "base_trace_key": base.trace_key(),
         "queued_cache_key": base.with_engine("queued").cache_key(),
-        "vector_cache_key": base.with_engine("vector").cache_key(),
         "trh125_cache_key": base.with_trh(125).cache_key(),
         "gct8k_cache_key": base.with_gct_entries(8192).cache_key(),
     }

@@ -1,6 +1,6 @@
-"""Cross-engine parity: fast, queued, and vector behind one axis.
+"""Cross-engine parity: fast and queued behind one axis.
 
-The tentpole guarantee of the engine refactor: all memory-controller
+The guarantee of the engine design: both memory-controller
 engines run through one ``simulate()`` path, emit one ``RunResult``
 schema, agree on tracker-visible behaviour where scheduling cannot
 change it, and never share cache entries.
@@ -15,11 +15,11 @@ from repro.memctrl import (
     ENGINES,
     MemoryController,
     QueuedMemoryController,
-    VectorMemoryController,
     build_controller,
     normalize_engine,
 )
 from repro.sim import SystemConfig, cell_key, simulate, simulate_workload
+from repro.sim.grid import GridSpec
 from repro.sim.results import RunResult
 from repro.trackers.registry import canonical_spec, parse_spec, spec_engine
 from repro.workloads.trace import Trace
@@ -53,7 +53,7 @@ def distinct_row_trace(config, n=400, gap=50.0):
 
 class TestEngineSelection:
     def test_engines_catalogue(self):
-        assert ENGINES == ("fast", "queued", "vector")
+        assert ENGINES == ("fast", "queued")
         for engine in ENGINES:
             assert normalize_engine(engine) == engine
 
@@ -63,15 +63,26 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="engine"):
             SystemConfig(engine="warp")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SystemConfig(engine="vector"),
+            lambda: parse_spec("hydra@engine=vector"),
+            lambda: simulate_workload(CONFIG, "hydra@engine=vector", "xz"),
+        ],
+        ids=["config", "spec", "simulate"],
+    )
+    def test_removed_vector_engine_names_the_valid_ones(self, build):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert "fast" in str(err.value) and "queued" in str(err.value)
+
     def test_build_controller_classes(self):
         fast = build_controller("fast", CONFIG.geometry, CONFIG.timing)
         queued = build_controller("queued", CONFIG.geometry, CONFIG.timing)
-        vector = build_controller("vector", CONFIG.geometry, CONFIG.timing)
         assert isinstance(fast, MemoryController)
         assert isinstance(queued, QueuedMemoryController)
-        assert isinstance(vector, VectorMemoryController)
         assert fast.engine == "fast" and queued.engine == "queued"
-        assert vector.engine == "vector"
 
     def test_with_engine(self):
         queued = CONFIG.with_engine("queued")
@@ -115,7 +126,6 @@ class TestRunResultParity:
             counts[engine] = result.activations
             assert result.requests == len(trace)
         assert counts["fast"] == counts["queued"] > 0
-        assert counts["vector"] == counts["fast"]
 
     def test_dcbf_delay_visible_on_both_engines(self):
         # Long double-sided hammer: FR-FCFS row-hit batching legitimately
@@ -139,15 +149,12 @@ class TestEngineCacheKeys:
         override = cell_key(CONFIG, "hydra@engine=queued", "xz")
         assert bare != override
 
-    def test_vector_spec_keys_separately(self):
+    def test_each_engine_spec_keys_separately(self):
         keys = {
             cell_key(CONFIG, f"hydra@engine={engine}", "xz")
             for engine in ENGINES
         }
         assert len(keys) == len(ENGINES)
-        assert cell_key(CONFIG.with_engine("vector"), "hydra", "xz") != (
-            cell_key(CONFIG, "hydra", "xz")
-        )
 
     def test_trace_key_engine_agnostic(self):
         assert CONFIG.trace_key() == CONFIG.with_engine("queued").trace_key()
@@ -166,8 +173,9 @@ class TestEngineSweeps:
         queued = ExperimentRunner(
             CONFIG.with_engine("queued"), cache_dir=tmp_path
         )
-        fast_grid = fast.run_grid(trackers, workloads, progress=False)
-        queued_grid = queued.run_grid(trackers, workloads, progress=False)
+        grid = GridSpec(trackers=tuple(trackers), workloads=tuple(workloads))
+        fast_grid = fast.run_grid(grid, progress=False)
+        queued_grid = queued.run_grid(grid, progress=False)
         for tracker in trackers:
             for wl in workloads:
                 assert fast_grid[tracker][wl].engine == "fast"
@@ -197,10 +205,9 @@ class TestSpecEngineAxis:
             == "hydra@engine=queued,trh=250"
         )
         assert (
-            canonical_spec("hydra@trh=250, engine=vector")
-            == "hydra@engine=vector,trh=250"
+            canonical_spec("hydra@trh=250, engine=fast")
+            == "hydra@engine=fast,trh=250"
         )
-        assert spec_engine("hydra@engine=vector") == "vector"
 
     def test_bad_engine_value_rejected(self):
         with pytest.raises(ValueError, match="not one of"):

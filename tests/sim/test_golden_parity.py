@@ -71,20 +71,7 @@ def test_config_keys_unchanged(golden):
         "base_cache_key": base.cache_key(),
         "base_trace_key": base.trace_key(),
         "queued_cache_key": base.with_engine("queued").cache_key(),
-        "vector_cache_key": base.with_engine("vector").cache_key(),
         "trh125_cache_key": base.with_trh(125).cache_key(),
         "gct8k_cache_key": base.with_gct_entries(8192).cache_key(),
     }
 
-
-@pytest.mark.parametrize("tracker", available_trackers(), ids=str)
-def test_vector_golden_matches_fast_golden(golden, tracker):
-    """The vector engine's contract: bit-identical to fast.
-
-    Combined with ``test_run_result_is_bit_identical`` this pins the
-    *current* vector engine to the fast-engine goldens — only the
-    engine label itself may differ between the two cells.
-    """
-    fast = golden["runs"][f"{tracker}/fast"]
-    vector = golden["runs"][f"{tracker}/vector"]
-    assert {k for k in fast if fast[k] != vector[k]} == {"engine"}

@@ -64,16 +64,13 @@ class TestCoerce:
             RunSpec.coerce(RunSpec(tracker="cra", engine="fast"), engine="queued")
 
     def test_spec_with_tracker_name_raises(self):
-        with pytest.raises(ValueError, match="alone"):
+        """Only the spec (or an instance) names the tracker."""
+        with pytest.raises(TypeError, match="tracker_name"):
             RunSpec.coerce("hydra", tracker_name="cra")
 
     def test_spec_with_instance_raises(self):
         with pytest.raises(ValueError, match="alone"):
             RunSpec.coerce("hydra", tracker=NullTracker())
-
-    def test_tracker_name_and_instance_raise(self):
-        with pytest.raises(ValueError, match="not both"):
-            RunSpec.coerce(tracker_name="hydra", tracker=NullTracker())
 
     def test_instance_adopts_name_attribute(self):
         spec = RunSpec.coerce(tracker=NullTracker())

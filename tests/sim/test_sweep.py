@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.config import SystemConfig
+from repro.sim.grid import GridSpec
 from repro.sim.results import Comparison
 from repro.sim.sweep import ExperimentRunner, suite_geomeans, suite_slowdowns
 
@@ -59,7 +60,9 @@ class TestRunner:
         assert all(c.tracked_ns >= c.baseline_ns * 0.99 for c in comps)
 
     def test_run_grid_shape(self, runner):
-        grid = runner.run_grid(["baseline", "ocpr"], ["leela"])
+        grid = runner.run_grid(
+            GridSpec(trackers=("baseline", "ocpr"), workloads=("leela",))
+        )
         assert set(grid) == {"baseline", "ocpr"}
         assert set(grid["baseline"]) == {"leela"}
 

@@ -19,11 +19,15 @@ from repro.sim.config import (
     default_jobs,
     resolve_jobs,
 )
+from repro.sim.grid import GridSpec
 from repro.sim.sweep import ExperimentRunner, SweepProgress, cell_key
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
-TRACKERS = ["baseline", "ocpr"]
-WORKLOADS = ["leela", "povray", "xz", "mcf"]
+TRACKERS = ("baseline", "ocpr")
+WORKLOADS = ("leela", "povray", "xz", "mcf")
+GRID = GridSpec(trackers=TRACKERS, workloads=WORKLOADS)
+GRID_2 = GridSpec(trackers=TRACKERS, workloads=WORKLOADS[:2])
+BASELINE_2 = GridSpec(trackers=("baseline",), workloads=WORKLOADS[:2])
 
 
 def _grid_dicts(grid):
@@ -37,22 +41,22 @@ class TestParallelMatchesSerial:
     def test_grid_identical_2x4(self, tmp_path):
         serial = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "serial"
-        ).run_grid(TRACKERS, WORKLOADS, jobs=1)
+        ).run_grid(GRID, jobs=1)
         parallel = ExperimentRunner(
             CONFIG, cache_dir=tmp_path / "parallel"
-        ).run_grid(TRACKERS, WORKLOADS, jobs=4)
+        ).run_grid(GRID, jobs=4)
         assert _grid_dicts(parallel) == _grid_dicts(serial)
 
     def test_parallel_fills_shared_cache_format(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        runner.run_grid(TRACKERS, WORKLOADS[:2], jobs=4)
+        runner.run_grid(GRID_2, jobs=4)
         files = sorted(tmp_path.glob("*.json"))
         assert len(files) == 4
         for path in files:
             json.loads(path.read_text())  # every entry is valid JSON
         # A fresh serial runner reuses every parallel-written entry.
         fresh = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        fresh.run_grid(TRACKERS, WORKLOADS[:2], jobs=1)
+        fresh.run_grid(GRID_2, jobs=1)
         assert sorted(tmp_path.glob("*.json")) == files
 
     def test_compare_parallel_matches_serial(self, tmp_path):
@@ -68,7 +72,7 @@ class TestParallelMatchesSerial:
         runner = ExperimentRunner(
             CONFIG, cache_dir=tmp_path, use_disk_cache=False
         )
-        grid = runner.run_grid(TRACKERS, WORKLOADS[:2], jobs=2)
+        grid = runner.run_grid(GRID_2, jobs=2)
         assert set(grid) == set(TRACKERS)
         assert not list(tmp_path.glob("*.json"))
 
@@ -157,7 +161,7 @@ class TestJobsResolution:
     def test_runner_default_used_by_run_grid(self, tmp_path, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path, jobs=2)
-        grid = runner.run_grid(["baseline"], WORKLOADS[:2])
+        grid = runner.run_grid(BASELINE_2)
         assert set(grid["baseline"]) == set(WORKLOADS[:2])
 
 
@@ -189,4 +193,4 @@ class TestSweepProgress:
 
     def test_grid_reports_through_stream(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
-        runner.run_grid(["baseline"], WORKLOADS[:2], progress=False)
+        runner.run_grid(BASELINE_2, progress=False)

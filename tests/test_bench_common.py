@@ -18,6 +18,7 @@ from bench_engine_throughput import (  # noqa: E402
     cells_for_engines,
 )
 
+from repro.memctrl import ENGINES  # noqa: E402
 from repro.sim.results import Comparison  # noqa: E402
 from repro.workloads.characteristics import all_names  # noqa: E402
 
@@ -53,18 +54,13 @@ class TestAllSlowdown:
 
 
 class TestEngineCellSelection:
-    def test_default_cells_cover_all_three_engines(self):
-        assert {engine for _, engine in DEFAULT_CELLS} == {
-            "fast", "queued", "vector",
-        }
+    def test_default_cells_cover_every_engine(self):
+        assert {engine for _, engine in DEFAULT_CELLS} == set(ENGINES)
 
     def test_engines_filter_keeps_order(self):
-        cells = cells_for_engines(["vector"])
-        assert cells == (("baseline", "vector"), ("hydra", "vector"))
-        both = cells_for_engines(["fast", "vector"])
-        assert both == tuple(
-            c for c in DEFAULT_CELLS if c[1] in ("fast", "vector")
-        )
+        assert cells_for_engines(["queued"]) == (("hydra", "queued"),)
+        both = cells_for_engines(["queued", "fast"])
+        assert both == DEFAULT_CELLS
 
     def test_unknown_engine_filter_exits(self):
         with pytest.raises(SystemExit, match="no benchmark cells"):

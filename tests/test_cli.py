@@ -127,24 +127,28 @@ class TestRunCommand:
 
 class TestProfileCommand:
     def test_engine_flag_parses_all_engines(self):
-        for engine in ("fast", "queued", "vector"):
+        for engine in ("fast", "queued"):
             args = build_parser().parse_args(
                 ["profile", "leela", "--engine", engine]
             )
             assert args.engine == engine
 
-    def test_profile_vector_engine_passthrough(self, capsys):
+    def test_engine_flag_rejects_unknown_engine(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "leela", "--engine", "vector"])
+        err = capsys.readouterr().err
+        assert "'fast'" in err and "'queued'" in err
+
+    def test_profile_engine_passthrough(self, capsys):
         code = main(
             ["profile", "leela", "--tracker", "hydra",
-             "--scale-denominator", "256", "--engine", "vector",
+             "--scale-denominator", "256", "--engine", "queued",
              "--limit", "5"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        # The profiled cell ran on the requested engine...
-        assert "hydra/vector" in out
-        # ...and the report shows the vector hot path, not the
-        # scalar per-request pipeline.
+        # The profiled cell ran on the requested engine.
+        assert "hydra/queued" in out
         assert "tottime" in out
 
 

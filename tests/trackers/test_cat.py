@@ -3,9 +3,14 @@
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks.programs import (
+    double_sided_program,
+    many_sided_program,
+    single_sided_program,
+)
 from repro.dram.timing import DramGeometry
 from repro.trackers.cat import CatTracker
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -90,20 +95,20 @@ class TestSecurity:
     def test_theorem_holds_under_double_sided(self):
         tracker = make(trh=100)
         report = verify_tracker(
-            tracker, GEOMETRY, attacks.double_sided(500, 1000), 50
+            tracker, GEOMETRY, rows(double_sided_program(500, 1000)), 50
         )
         assert report.secure
 
     def test_theorem_holds_under_many_sided(self):
         tracker = make(trh=100)
-        seq = attacks.many_sided(list(range(64, 96)), rounds=120)
+        seq = rows(many_sided_program(range(64, 96), rounds=120))
         report = verify_tracker(tracker, GEOMETRY, seq, 50)
         assert report.secure
 
     def test_theorem_holds_with_tiny_pool(self):
         tracker = make(trh=100, counters=3)
         report = verify_tracker(
-            tracker, GEOMETRY, attacks.single_sided(5, 600), 50
+            tracker, GEOMETRY, rows(single_sided_program(5, 600)), 50
         )
         assert report.secure
 

@@ -9,9 +9,13 @@ guaranteed trackers under the same harness.
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks.programs import (
+    many_sided_program,
+    single_sided_program,
+)
 from repro.dram.timing import DramGeometry
 from repro.trackers.insecure import MrlocTracker, ProhitTracker
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -61,7 +65,7 @@ class TestMrlocInsecurity:
         for seed in range(40):
             tracker = MrlocTracker(base_probability=0.002, seed=seed)
             report = verify_tracker(
-                tracker, GEOMETRY, attacks.single_sided(5, TH + 25), TH
+                tracker, GEOMETRY, rows(single_sided_program(5, TH + 25)), TH
             )
             if not report.secure:
                 violated = True
@@ -114,7 +118,7 @@ class TestProhitInsecurity:
                 mitigation_interval=512,
                 seed=seed,
             )
-            sequence = attacks.many_sided(list(range(100, 164)), TH + 10)
+            sequence = rows(many_sided_program(range(100, 164), TH + 10))
             report = verify_tracker(tracker, GEOMETRY, sequence, TH)
             if not report.secure:
                 violated = True
@@ -134,8 +138,8 @@ class TestContrastWithGuaranteedTrackers:
             rcc_entries=8, rcc_ways=4,
         )
         for sequence in (
-            attacks.single_sided(5, TH + 25),
-            attacks.many_sided(list(range(100, 164)), TH + 10),
+            rows(single_sided_program(5, TH + 25)),
+            rows(many_sided_program(range(100, 164), TH + 10)),
         ):
             report = verify_tracker(
                 HydraTracker(config), GEOMETRY, sequence, TH

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks.programs import (
+    double_sided_program,
+    many_sided_program,
+    single_sided_program,
+)
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.mithril import MithrilTracker
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -67,14 +72,14 @@ class TestSecurity:
         report = verify_tracker(
             make(trh=100, rfm_interval=12),
             GEOMETRY,
-            attacks.single_sided(5, 2000),
+            rows(single_sided_program(5, 2000)),
             50,
         )
         assert report.secure
 
     def test_many_sided(self):
         tracker = make(trh=100, rfm_interval=12, entries=128)
-        seq = attacks.many_sided(list(range(100, 132)), rounds=120)
+        seq = rows(many_sided_program(range(100, 132), rounds=120))
         report = verify_tracker(tracker, GEOMETRY, seq, 50)
         assert report.secure
 
@@ -82,7 +87,7 @@ class TestSecurity:
         """Mithril's bound: with the immediate backstop, no row's
         unmitigated true count passes T_H."""
         tracker = make(trh=100, rfm_interval=25)
-        seq = attacks.double_sided(500, 1200)
+        seq = rows(double_sided_program(500, 1200))
         report = verify_tracker(tracker, GEOMETRY, seq, 50)
         assert report.secure
         assert report.max_unmitigated_count <= 50

@@ -24,13 +24,14 @@ import random
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks.programs import single_sided_program
 from repro.sim.config import SystemConfig
 from repro.trackers.registry import (
     available_trackers,
     build_tracker,
     tracker_info,
 )
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 TRH_RUNGS = (1000, 500)
 CONFIG = SystemConfig(scale=1 / 128, n_windows=1)
@@ -41,7 +42,7 @@ def _sequences(trh: int, total_rows: int):
     rng = random.Random(0xC0FFEE + trh)
     span = min(2048, total_rows)
     return {
-        "single": attacks.single_sided(5, int(2.5 * threshold) + 8),
+        "single": rows(single_sided_program(5, int(2.5 * threshold) + 8)),
         "random": [rng.randrange(span) for _ in range(4 * threshold)],
     }
 
@@ -104,7 +105,7 @@ def test_single_sided_always_pressures_the_oracle(name):
     report = verify_tracker(
         tracker,
         cfg.geometry,
-        attacks.single_sided(5, int(2.5 * (trh // 2)) + 8),
+        rows(single_sided_program(5, int(2.5 * (trh // 2)) + 8)),
         threshold=trh // 2,
         window_every=cfg.timing.max_activations_per_window(),
         max_feedback_depth=2,

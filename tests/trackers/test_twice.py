@@ -3,9 +3,14 @@
 import pytest
 
 from repro.analysis.security import verify_tracker
+from repro.attacks.programs import (
+    double_sided_program,
+    many_sided_program,
+    thrash_then_hammer_program,
+)
 from repro.dram.timing import DramGeometry, DramTiming
 from repro.trackers.twice import TwiceTracker
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -105,9 +110,9 @@ class TestOverflow:
 
     def test_security_with_tiny_table(self):
         tracker = make(trh=100, entries=4, prune_interval=10_000)
-        seq = attacks.thrash_then_hammer(
-            5, list(range(100, 160)), hammers=400, interleave=2
-        )
+        seq = rows(thrash_then_hammer_program(
+            5, range(100, 160), hammers=400, interleave=2
+        ))
         report = verify_tracker(tracker, GEOMETRY, seq, 50)
         assert report.secure
 
@@ -115,12 +120,12 @@ class TestOverflow:
 class TestSecurity:
     def test_double_sided(self):
         report = verify_tracker(
-            make(trh=100), GEOMETRY, attacks.double_sided(500, 800), 50
+            make(trh=100), GEOMETRY, rows(double_sided_program(500, 800)), 50
         )
         assert report.secure
 
     def test_many_sided(self):
-        seq = attacks.many_sided(list(range(50, 80)), rounds=100)
+        seq = rows(many_sided_program(range(50, 80), rounds=100))
         report = verify_tracker(make(trh=100), GEOMETRY, seq, 50)
         assert report.secure
 

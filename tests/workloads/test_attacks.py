@@ -1,9 +1,22 @@
-"""Tests for the attack pattern generators."""
+"""Shape tests for the explicit-argument attack programs.
+
+The attack traffic that workloads mix in comes from
+:mod:`repro.attacks.programs`; these pin each pattern's row sequence.
+"""
 
 import pytest
 
+from repro.attacks.programs import (
+    double_sided_program,
+    half_double_program,
+    many_sided_program,
+    rcc_thrash_program,
+    rct_region_program,
+    single_sided_program,
+    thrash_then_hammer_program,
+)
 from repro.dram.timing import DramGeometry
-from repro.workloads import attacks
+from tests.attack_rows import rows
 
 GEOMETRY = DramGeometry(
     channels=1,
@@ -16,27 +29,27 @@ GEOMETRY = DramGeometry(
 
 class TestBasicPatterns:
     def test_single_sided(self):
-        seq = attacks.single_sided(5, 10)
+        seq = rows(single_sided_program(5, 10))
         assert seq == [5] * 10
 
     def test_double_sided_sandwiches_victim(self):
-        seq = attacks.double_sided(100, 3)
+        seq = rows(double_sided_program(100, 3))
         assert seq == [99, 101, 99, 101, 99, 101]
 
     def test_double_sided_needs_interior_victim(self):
         with pytest.raises(ValueError):
-            attacks.double_sided(0, 5)
+            rows(double_sided_program(0, 5))
 
     def test_many_sided_round_robin(self):
-        seq = attacks.many_sided([1, 2, 3], rounds=2)
+        seq = rows(many_sided_program([1, 2, 3], rounds=2))
         assert seq == [1, 2, 3, 1, 2, 3]
         with pytest.raises(ValueError):
-            attacks.many_sided([], 1)
+            rows(many_sided_program([], 1))
 
 
 class TestHalfDouble:
     def test_mostly_distance_two(self):
-        seq = attacks.half_double(100, far_hammers=2000, near_ratio=1000)
+        seq = rows(half_double_program(100, far_hammers=2000, near_ratio=1000))
         far = {98, 102}
         near = {99, 101}
         far_count = sum(1 for r in seq if r in far)
@@ -45,24 +58,27 @@ class TestHalfDouble:
         assert near_count == 2
 
     def test_victim_itself_never_touched(self):
-        seq = attacks.half_double(100, far_hammers=500)
+        seq = rows(half_double_program(100, far_hammers=500))
         assert 100 not in seq
 
 
 class TestThrash:
     def test_aggressor_interleaved_with_decoys(self):
-        seq = attacks.thrash_then_hammer(5, [10, 11], hammers=3, interleave=1)
+        seq = rows(thrash_then_hammer_program(5, [10, 11], hammers=3, interleave=1))
         assert seq.count(5) == 3
         assert seq.count(10) == 3
 
     def test_interleave_spacing(self):
-        seq = attacks.thrash_then_hammer(5, [10], hammers=4, interleave=2)
+        seq = rows(thrash_then_hammer_program(5, [10], hammers=4, interleave=2))
         assert seq.count(10) == 2
 
 
 class TestRccThrash:
     def test_touches_many_distinct_rows(self):
-        seq = attacks.rcc_thrash(GEOMETRY, target_rows=50, rounds=3)
+        seq = rows(
+            rcc_thrash_program(GEOMETRY, target_rows=50, rounds=3),
+            geometry=GEOMETRY,
+        )
         assert len(seq) == 150
         assert len(set(seq)) == 50
 
@@ -72,6 +88,6 @@ class TestRctRegionAttack:
         from repro.core.rct import RowCountTable
 
         table = RowCountTable(GEOMETRY, counter_bytes=1)
-        seq = attacks.rct_region_attack(GEOMETRY, hammers=20)
+        seq = rows(rct_region_program(GEOMETRY, hammers=20), geometry=GEOMETRY)
         assert len(seq) == 20
         assert all(table.is_meta_row(r) for r in seq)
