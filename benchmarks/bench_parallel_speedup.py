@@ -1,10 +1,10 @@
 """Harness benchmark: parallel sweep speedup and determinism.
 
 Not a paper figure — this measures the *reproduction's* sweep layer:
-a 2-tracker x 8-workload grid run serially and with ``jobs=4``
-(disk cache disabled so every cell simulates), asserting the
-parallel results are identical to the serial ones and, on a machine
-with >= 4 CPUs, at least 2x faster wall-clock.
+a 2-tracker x 8-workload grid run serially and with ``jobs=4`` (each
+runner on its own fresh cache directory, so every cell simulates),
+asserting the parallel results are identical to the serial ones and,
+on a machine with >= 4 CPUs, at least 2x faster wall-clock.
 """
 
 import os
@@ -31,7 +31,7 @@ def _timed_grid(runner: ExperimentRunner, jobs: int):
     return grid, time.perf_counter() - start
 
 
-def test_parallel_speedup(benchmark):
+def test_parallel_speedup(benchmark, tmp_path):
     config = bench_config()
     # Pre-generate traces so both timings measure simulation, and so
     # forked workers inherit the warm memo.
@@ -39,9 +39,11 @@ def test_parallel_speedup(benchmark):
         trace_for_workload(config, name)
 
     def run():
-        serial_runner = ExperimentRunner(config, use_disk_cache=False)
+        serial_runner = ExperimentRunner(config, cache_dir=tmp_path / "serial")
         serial, serial_s = _timed_grid(serial_runner, jobs=1)
-        parallel_runner = ExperimentRunner(config, use_disk_cache=False)
+        parallel_runner = ExperimentRunner(
+            config, cache_dir=tmp_path / "parallel"
+        )
         parallel, parallel_s = _timed_grid(parallel_runner, jobs=JOBS)
         return serial, serial_s, parallel, parallel_s
 

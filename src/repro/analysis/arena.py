@@ -39,7 +39,6 @@ Entry points: ``hydra-sim arena`` and the ``arena`` named experiment.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -68,7 +67,7 @@ from repro.dram.timing import PAPER_GEOMETRY
 from repro.obs.manifest import ArenaOracleRecord, ManifestWriter
 from repro.sim.config import SystemConfig, resolve_jobs
 from repro.sim.grid import GridSpec
-from repro.sim.sweep import ExperimentRunner
+from repro.sim.sweep import ExperimentRunner, pool_map
 from repro.trackers.registry import (
     available_trackers,
     build_tracker,
@@ -459,21 +458,11 @@ def _run_oracle_battery(
     n_jobs: int,
 ) -> Dict[str, List[OracleOutcome]]:
     """All (spec, sequence) oracle cells for one rung, fanned out."""
-    cells = [(spec, name) for spec in specs for name in sequences]
-    payloads: List[Dict[str, Any]] = []
-    if n_jobs > 1 and len(cells) > 1:
-        workers = min(n_jobs, len(cells))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_oracle_cell, config, spec, trh, name)
-                for spec, name in cells
-            ]
-            for future in as_completed(futures):
-                payloads.append(future.result())
-    else:
-        payloads = [
-            _oracle_cell(config, spec, trh, name) for spec, name in cells
-        ]
+    payloads = pool_map(
+        _oracle_cell,
+        [(config, spec, trh, name) for spec in specs for name in sequences],
+        n_jobs,
+    )
     outcomes: Dict[str, List[OracleOutcome]] = {spec: [] for spec in specs}
     for payload in payloads:
         outcomes[payload["spec"]].append(
@@ -487,14 +476,4 @@ def _run_oracle_battery(
                 activations=payload["activations"],
             )
         )
-    # Completion order is nondeterministic under the pool; normalize
-    # to the requested sequence order (battery aliases stay verbatim,
-    # attack specs are recorded in canonical form).
-    order = {}
-    for i, name in enumerate(sequences):
-        if name not in BATTERY_ATTACKS:
-            name = canonical_attack_spec(name)
-        order[name] = i
-    for spec in outcomes:
-        outcomes[spec].sort(key=lambda o: order[o.sequence])
     return outcomes

@@ -24,7 +24,6 @@ program is reproducible from its recorded ``program_seed``.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -48,6 +47,7 @@ from repro.obs.manifest import (
     resolve_manifest_path,
 )
 from repro.sim.config import SystemConfig, default_cache_dir, resolve_jobs
+from repro.sim.sweep import pool_map
 from repro.trackers.registry import (
     available_trackers,
     canonical_spec,
@@ -288,29 +288,14 @@ def run_fuzz(
         raise ValueError("programs must be >= 1")
     specs = [canonical_spec(s) for s in (trackers or available_trackers())]
     seeds = [corpus_seed + i for i in range(programs)]
-    cells = [(spec, seed) for spec in specs for seed in seeds]
-    n_jobs = resolve_jobs(jobs)
-    payloads: List[Dict[str, Any]] = []
-    if n_jobs > 1 and len(cells) > 1:
-        workers = min(n_jobs, len(cells))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _fuzz_cell, config, spec, config.trh, seed, act_budget
-                )
-                for spec, seed in cells
-            ]
-            for future in as_completed(futures):
-                payloads.append(future.result())
-    else:
-        payloads = [
-            _fuzz_cell(config, spec, config.trh, seed, act_budget)
-            for spec, seed in cells
-        ]
-    # Pool completion order is nondeterministic; normalize.
-    spec_order = {spec: i for i, spec in enumerate(specs)}
-    payloads.sort(
-        key=lambda p: (spec_order[p["spec"]], p["program_seed"])
+    payloads = pool_map(
+        _fuzz_cell,
+        [
+            (config, spec, config.trh, seed, act_budget)
+            for spec in specs
+            for seed in seeds
+        ],
+        resolve_jobs(jobs),
     )
     report = FuzzReport(
         trh=config.trh,

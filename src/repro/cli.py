@@ -426,13 +426,19 @@ def _cmd_security(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _csv_ints(value: str) -> List[int]:
+def _trh_ladder(value: str) -> List[int]:
     try:
-        return [int(item) for item in value.split(",") if item.strip()]
+        rungs = [int(item) for item in value.split(",") if item.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {value!r}"
         )
+    for trh in rungs:
+        try:
+            SystemConfig().with_trh(trh)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return rungs
 
 
 def _cmd_arena(args: argparse.Namespace) -> int:
@@ -872,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(arena)
     arena.add_argument(
         "--trh-ladder",
-        type=_csv_ints,
+        type=_trh_ladder,
         default=None,
         metavar="T1,T2,...",
         help="comma-separated T_RH rungs (default: 139000,20000,4800,"

@@ -1,11 +1,13 @@
-"""Sweep service: shardable job broker + asyncio HTTP front-end.
+"""Sweep service: persistent job broker + asyncio HTTP front-end.
 
-The package splits along the trust boundary of the architecture:
+Cell execution is not here: the lease-guarded work unit
+(:func:`repro.sim.sweep.run_cell`) and the dispatch core that windows,
+dedups and retries cells (:class:`repro.sim.sweep.CellDispatcher`) are
+the ones in-process grids use. This package adds what outlives one
+call:
 
-- :mod:`repro.service.worker` — the disposable unit: fill one cache
-  entry, lease-guarded.
-- :mod:`repro.service.broker` — shards grids across a pool, dedups
-  in-flight cells, retries with backoff, persists resumable job state.
+- :mod:`repro.service.broker` — turns submitted grids into jobs on a
+  shared dispatcher: job threads, cancel, resume, per-job events.
 - :mod:`repro.service.jobs` — job states, status records, persistence,
   and the :class:`JobHandle` surface front-ends hand back.
 - :mod:`repro.service.http` — stdlib-asyncio HTTP/JSON endpoints.
@@ -33,7 +35,6 @@ from repro.service.jobs import (
     JobStatus,
     JobStore,
 )
-from repro.service.worker import run_cell, worker_identity
 
 __all__ = [
     "ACTIVE_STATES",
@@ -55,7 +56,5 @@ __all__ = [
     "SweepBroker",
     "SweepService",
     "TERMINAL_STATES",
-    "run_cell",
     "serve_forever",
-    "worker_identity",
 ]

@@ -1,7 +1,12 @@
-"""The sweep job broker: shard grids across workers, cache-first.
+"""The sweep job broker: persistent, resumable jobs over the dispatcher.
 
 ``SweepBroker`` turns submitted :class:`~repro.sim.grid.GridSpec`s
-into filled result-cache entries. Design invariants (DESIGN.md §15):
+into filled result-cache entries. Cell execution — cache-first
+lookup, the grid-order dispatch window, in-flight dedup by cache key,
+leases, retry with backoff — is :class:`~repro.sim.sweep.CellDispatcher`,
+the same core ``ExperimentRunner.run_grid`` drives; the broker holds
+one for its lifetime, shared by every job, and owns only the job
+lifecycle (DESIGN.md §15):
 
 - **The cache is the system of record.** A job's durable state is its
   spec + status + manifest (see :mod:`repro.service.jobs`); cell
@@ -10,16 +15,10 @@ into filled result-cache entries. Design invariants (DESIGN.md §15):
   start a new one on the same directories, call :meth:`resume`, and
   every job completes having re-simulated only the cells that never
   made it to the cache.
-- **In-flight dedup.** Cells are identified by their canonical cache
-  key, so two jobs wanting the same (config, tracker, workload) —
-  submitted concurrently or not — share one in-flight task in this
-  broker, and the lease protocol extends the same guarantee across
-  broker processes sharing a cache directory.
-- **Per-cell retry with backoff.** A worker crash (or a broken
-  process pool) fails one attempt of one cell, not the job: the cell
-  is retried up to ``max_retries`` times with exponential backoff
-  before the job is marked FAILED. The clock and sleep are injectable
-  so tests drive the schedule deterministically.
+- **Jobs.** Each job runs on its own ``sweep-job-<id>`` thread (or is
+  stepped synchronously by :meth:`step`), records one manifest line
+  per cell in grid order, and reaches COMPLETED, FAILED (a cell
+  exhausted its retries) or CANCELLED.
 - **Preemption.** :meth:`cancel` stops a job between cells; cells
   already dispatched run to completion (their cache entries are kept
   — cancelling a job never poisons another job's cells).
@@ -35,22 +34,21 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.obs.manifest import ManifestWriter, make_record, read_manifest
+from repro.obs.manifest import ManifestWriter, read_manifest
 from repro.sim.cache import DEFAULT_LEASE_TTL_S, ResultCache
 from repro.sim.config import default_cache_dir, resolve_jobs
-from repro.sim.grid import GridCell, GridSpec
+from repro.sim.grid import GridSpec
 from repro.sim.results import GridResult, RunResult
-from repro.sim.sweep import _validated_payload
+from repro.sim.sweep import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_MAX_RETRIES,
+    CellDispatcher,
+    CellRunner,
+    cell_record,
+)
 from repro.service.jobs import (
     ACTIVE_STATES,
     CANCELLED,
@@ -62,56 +60,10 @@ from repro.service.jobs import (
     JobStatus,
     JobStore,
 )
-from repro.service.worker import run_cell
-from repro.trackers.registry import canonical_spec
-
-#: Default cap on re-attempts of one cell after worker failures.
-DEFAULT_MAX_RETRIES = 2
-#: Base of the exponential backoff between attempts (seconds).
-DEFAULT_BACKOFF_S = 0.5
-
-CellRunner = Callable[..., Any]
 
 
 class BrokerError(RuntimeError):
     """A request the broker cannot honour (unknown job, bad spec)."""
-
-
-class _InlineExecutor:
-    """Executor that runs the submission immediately in the caller.
-
-    Keeps the dispatch/collect code shape identical across pools while
-    making single-threaded tests (and ``step``-driven flows) fully
-    deterministic.
-    """
-
-    def submit(self, fn, *args, **kwargs) -> "Future[Any]":
-        future: "Future[Any]" = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # recorded, surfaced on .result()
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002
-        pass
-
-
-class _CellTask:
-    """One in-flight cache fill, shared by every job that wants it."""
-
-    def __init__(self, cell: GridCell) -> None:
-        self.cell = cell
-        self.attempts = 0
-        self.future: Optional["Future[Any]"] = None
-        self.payload: Optional[Dict[str, Any]] = None
-        self.from_cache = False
-        self.wall_s = 0.0
-        self.error: Optional[BaseException] = None
-        self._done = threading.Event()
-        #: Serializes the retry loop: the first waiter drives
-        #: resubmission, later waiters just block on ``_done``.
-        self._drive = threading.Lock()
 
 
 class _Job:
@@ -143,26 +95,22 @@ class SweepBroker:
         sleep: Callable[[float], None] = time.sleep,
         cell_runner: Optional[CellRunner] = None,
     ) -> None:
-        if pool not in ("process", "thread", "inline"):
-            raise ValueError(f"unknown pool kind {pool!r}")
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.store = JobStore(state_dir if state_dir else self.cache_dir)
         self.cache = ResultCache(self.cache_dir)
-        self.pool = pool
-        self.workers = resolve_jobs(workers)
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.lease_ttl_s = lease_ttl_s
+        self.dispatcher = CellDispatcher(
+            self.cache,
+            pool,
+            resolve_jobs(workers),
+            max_retries=max_retries,
+            backoff_s=backoff_s,
+            lease_ttl_s=lease_ttl_s,
+            sleep=sleep,
+            cell_runner=cell_runner,
+        )
         self._clock = clock
-        self._sleep = sleep
-        self._cell_runner = cell_runner if cell_runner is not None else run_cell
         self._jobs: Dict[str, _Job] = {}
-        self._in_flight: Dict[str, _CellTask] = {}
         self._lock = threading.Lock()
-        # The executor gets its own lock: _acquire_task submits while
-        # holding _lock, and _get_executor must not re-take it.
-        self._exec_lock = threading.Lock()
-        self._executor = None
 
     # ------------------------------------------------------------------
     # Submission / lifecycle
@@ -253,13 +201,10 @@ class SweepBroker:
                 for job in self._jobs.values()
                 if job.thread is not None
             ]
-        with self._exec_lock:
-            executor, self._executor = self._executor, None
         if wait:
             for thread in threads:
                 thread.join()
-        if executor is not None:
-            executor.shutdown(wait=wait)
+        self.dispatcher.shutdown(wait=wait)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -317,15 +262,13 @@ class SweepBroker:
             )
         grid: Dict[str, Dict[str, RunResult]] = {}
         for cell in spec.cells():
-            payload = _validated_payload(self.cache, cell.key)
-            if payload is None:
+            result = self.cache.load_result(cell.key)
+            if result is None:
                 raise BrokerError(
                     f"cache entry for cell ({cell.tracker},"
                     f" {cell.workload}) vanished; re-run the job"
                 )
-            grid.setdefault(cell.tracker, {})[cell.workload] = (
-                RunResult.from_dict(payload)
-            )
+            grid.setdefault(cell.tracker, {})[cell.workload] = result
         return GridResult(grid)
 
     def handle(self, job_id: str) -> "LocalJobHandle":
@@ -359,49 +302,30 @@ class SweepBroker:
         thread.start()
 
     def _advance(self, job: _Job, limit: Optional[int] = None) -> None:
-        """Walk the job's grid: cache first, then dispatched tasks.
+        """Walk the job's grid through the dispatcher, in grid order.
 
-        Dispatch runs ahead of collection by a bounded window so the
-        pool stays busy, while cells are *recorded* in deterministic
-        grid order (events and progress counts are reproducible).
+        Cancellation and the step budget are checked before each cell
+        is taken, so nothing past the dispatch window is started for a
+        job that stopped.
         """
         if job.status.state == PENDING:
             self._set_state(job, RUNNING)
-        remaining = deque(
+        tasks = self.dispatcher.run(
             cell for cell in job.spec.cells()
             if cell.key not in job.done_keys
         )
-        window = max(2 * self.workers, 2)
-        dispatched: "deque[tuple[GridCell, Optional[_CellTask]]]" = deque()
         recorded = 0
         writer = ManifestWriter(self.store.manifest_path(job.job_id))
-
-        def top_up() -> None:
-            while remaining and len(dispatched) < window:
-                cell = remaining.popleft()
-                started = time.perf_counter()
-                payload = _validated_payload(self.cache, cell.key)
-                if payload is not None:
-                    task = _CellTask(cell)
-                    task.payload = payload
-                    task.from_cache = True
-                    task.wall_s = time.perf_counter() - started
-                    task._done.set()
-                    dispatched.append((cell, task))
-                else:
-                    dispatched.append((cell, self._acquire_task(cell)))
-
         while True:
             if job.cancel_event.is_set():
                 self._finalize(job, CANCELLED)
                 return
             if limit is not None and recorded >= limit:
                 return  # budget spent; job stays RUNNING on disk
-            top_up()
-            if not dispatched:
+            pair = next(tasks, None)
+            if pair is None:
                 break
-            cell, task = dispatched.popleft()
-            self._wait(task)
+            cell, task = pair
             if task.error is not None:
                 job.status.error = (
                     f"cell ({cell.tracker}, {cell.workload}) failed"
@@ -415,109 +339,9 @@ class SweepBroker:
                 job.status.cache_hits += 1
             job.status.retries += max(task.attempts - 1, 0)
             recorded += 1
-            result = RunResult.from_dict(task.payload)
-            writer.append(
-                [
-                    make_record(
-                        cache_key=cell.key,
-                        spec=canonical_spec(cell.tracker),
-                        workload=cell.workload,
-                        engine=result.engine,
-                        from_cache=task.from_cache,
-                        wall_time_s=task.wall_s,
-                        requests=result.requests,
-                        end_time_ns=result.end_time_ns,
-                        job_id=job.job_id,
-                    )
-                ]
-            )
+            writer.append([cell_record(cell, task, job.job_id)])
             self._touch(job)
         self._finalize(job, COMPLETED)
-
-    # -- in-flight task management -------------------------------------
-
-    def _acquire_task(self, cell: GridCell) -> _CellTask:
-        """The shared task filling this cell's cache key.
-
-        One canonical key maps to at most one live task, however many
-        jobs want it — this is the broker-local half of in-flight
-        dedup (leases extend it across processes).
-        """
-        with self._lock:
-            task = self._in_flight.get(cell.key)
-            if task is None:
-                task = _CellTask(cell)
-                task.future = self._submit_cell(cell)
-                self._in_flight[cell.key] = task
-            return task
-
-    def _submit_cell(self, cell: GridCell) -> "Future[Any]":
-        kwargs = {}
-        if self.pool != "process":
-            # Share the broker's cache instance so its stores /
-            # leases_reclaimed counters observe worker activity.
-            kwargs["cache"] = self.cache
-        return self._get_executor().submit(
-            self._cell_runner,
-            cell.config,
-            cell.tracker,
-            cell.workload,
-            str(self.cache_dir),
-            self.lease_ttl_s,
-            **kwargs,
-        )
-
-    def _wait(self, task: _CellTask) -> None:
-        """Block until the task is done, driving retries if first."""
-        if task._done.is_set():
-            return
-        with task._drive:
-            while not task._done.is_set():
-                try:
-                    task.attempts += 1
-                    payload, from_cache, wall_s = task.future.result()
-                    task.payload = payload
-                    task.from_cache = from_cache
-                    task.wall_s = wall_s
-                    task.error = None
-                    task._done.set()
-                except BaseException as exc:
-                    if isinstance(exc, BrokenProcessPool):
-                        self._discard_executor()
-                    if task.attempts > self.max_retries:
-                        task.error = exc
-                        task._done.set()
-                        break
-                    # Exponential backoff before the next attempt —
-                    # injectable sleep, so tests pin the schedule.
-                    self._sleep(
-                        self.backoff_s * (2 ** (task.attempts - 1))
-                    )
-                    task.future = self._submit_cell(task.cell)
-        with self._lock:
-            self._in_flight.pop(task.cell.key, None)
-
-    # -- executor plumbing ---------------------------------------------
-
-    def _get_executor(self):
-        with self._exec_lock:
-            if self._executor is None:
-                self._executor = self._make_executor()
-            return self._executor
-
-    def _make_executor(self):
-        if self.pool == "inline":
-            return _InlineExecutor()
-        if self.pool == "thread":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _discard_executor(self) -> None:
-        """Drop a broken pool so the next submit builds a fresh one."""
-        with self._exec_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
 
     # -- bookkeeping ---------------------------------------------------
 

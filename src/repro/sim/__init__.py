@@ -30,8 +30,6 @@ from repro.sim.sweep import (
     ExperimentRunner,
     SweepProgress,
     cell_key,
-    suite_geomeans,
-    suite_slowdowns,
 )
 
 __all__ = [
@@ -59,7 +57,5 @@ __all__ = [
     "resolve_jobs",
     "simulate",
     "simulate_workload",
-    "suite_geomeans",
-    "suite_slowdowns",
     "trace_for_workload",
 ]

@@ -27,21 +27,26 @@ created ``<key>.lease`` file naming an owner and an expiry. A worker
 that wins the lease simulates and stores; one that loses polls the
 cache until the entry lands — or until the lease goes stale (its
 holder crashed), at which point the lease is reclaimed instead of
-wedging the grid. Leases are an *optimization*, never a correctness
-gate: if the protocol ever double-grants under a pathological race,
-both winners simulate the same deterministic cell and the atomic
-``store`` keeps the cache consistent.
+wedging the grid. A lease whose holder is an exited process on this
+host is reclaimed at once, without waiting out the expiry. Leases are
+an *optimization*, never a correctness gate: if the protocol ever
+double-grants under a pathological race, both winners simulate the
+same deterministic cell and the atomic ``store`` keeps the cache
+consistent.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socket
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
+
+from repro.sim.results import RunResult
 
 #: How long a lease protects a key before other workers may reclaim
 #: it. Generous relative to a cell simulation (seconds) so a healthy
@@ -60,6 +65,28 @@ class LeaseInfo:
 
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
+
+    def holder_exited(self) -> bool:
+        """True if the owner names a process on this host that is gone.
+
+        Owners are ``host:pid:...`` strings (see
+        :func:`repro.sim.sweep.worker_identity`); any other form, a
+        remote host, or a process that still exists (or whose pid was
+        reused) counts as alive, leaving the expiry to decide.
+        """
+        host, _, rest = self.owner.partition(":")
+        pid = rest.split(":", 1)[0]
+        if os.name != "posix" or host != socket.gethostname():
+            return False
+        if not pid.isdigit():
+            return False
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            return True
+        except OSError:
+            return False  # exists, owned by another user
+        return False
 
 
 class ResultCache:
@@ -98,6 +125,22 @@ class ResultCache:
             self._evict(path)
             return None
         return payload
+
+    def load_result(self, key: str) -> Optional[RunResult]:
+        """The stored :class:`RunResult`, or None on miss or corruption.
+
+        The payload is parsed once; one that is valid JSON but not a
+        RunResult (a foreign or truncated schema) is evicted like a
+        corrupt file.
+        """
+        payload = self.load(key)
+        if payload is None:
+            return None
+        try:
+            return RunResult.from_dict(payload)
+        except (TypeError, KeyError):
+            self._evict(self.path_for(key))
+            return None
 
     def store(self, key: str, payload: Dict[str, Any]) -> None:
         """Atomically publish a payload under ``key``.
@@ -142,11 +185,12 @@ class ResultCache:
         The claim is an ``O_CREAT | O_EXCL`` file create — atomic on
         every platform the cache's ``os.replace`` already relies on.
         An existing unexpired lease means someone else is filling the
-        key (returns False); an *expired* lease is reclaimed: the
-        stale file is unlinked and the create retried once. The
-        unlink+create pair is not atomic, so under a pathological
-        interleaving two reclaimers can both believe they won — see
-        the module docstring for why that is harmless here.
+        key (returns False); an *expired* lease, or one whose holder
+        process on this host has exited (a worker killed mid-fill), is
+        reclaimed: the stale file is unlinked and the create retried
+        once. The unlink+create pair is not atomic, so under a
+        pathological interleaving two reclaimers can both believe they
+        won — see the module docstring for why that is harmless here.
         """
         clock = time.time if now is None else (lambda: now)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -156,7 +200,7 @@ class ResultCache:
             holder = self.lease_info(key)
             if holder is None:
                 continue  # holder released between our create and read
-            if not holder.expired(clock()):
+            if not holder.expired(clock()) and not holder.holder_exited():
                 return False
             # Stale: the holder crashed (or stalled past its TTL).
             # Reclaim by unlinking the stale file, then retry the

@@ -204,10 +204,15 @@ class SystemConfig:
     # ------------------------------------------------------------------
 
     def with_trh(self, trh: int, structure_scale: Optional[int] = None) -> "SystemConfig":
-        """Retarget T_RH, scaling Hydra structures as Figure 7 does."""
-        if structure_scale is None:
-            structure_scale = max(1, 500 // trh)
-        return replace(self, trh=trh, structure_scale=structure_scale)
+        """Retarget T_RH, scaling Hydra structures as Figure 7 does.
+
+        The scaling policy (and its ``trh >= 1`` check) is
+        :meth:`TrackerContext.with_trh`'s; this applies its result.
+        """
+        context = self.tracker_context().with_trh(trh, structure_scale)
+        return replace(
+            self, trh=context.trh, structure_scale=context.structure_scale
+        )
 
     def with_gct_entries(self, gct_entries_full: int) -> "SystemConfig":
         return replace(self, gct_entries_full=gct_entries_full)

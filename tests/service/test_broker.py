@@ -161,13 +161,13 @@ class TestDedup:
         keys_run = []
         lock = threading.Lock()
 
-        from repro.service.worker import run_cell
+        from repro.sim.sweep import run_cell
 
-        def gated_runner(config, tracker, workload, cache_dir, ttl, **kw):
+        def gated_runner(config, tracker, workload, cache, ttl, **kw):
             gate.wait(timeout=60)  # hold cells until both jobs queued
             with lock:
                 keys_run.append((tracker, workload))
-            return run_cell(config, tracker, workload, cache_dir, ttl, **kw)
+            return run_cell(config, tracker, workload, cache, ttl, **kw)
 
         broker = make_broker(
             tmp_path, pool="thread", workers=4, cell_runner=gated_runner
@@ -202,16 +202,16 @@ class TestRetry:
     def test_flaky_cell_retries_with_backoff(self, tmp_path):
         """First two attempts of one cell fail; backoff sleeps follow
         the exponential schedule; the job still completes."""
-        from repro.service.worker import run_cell
+        from repro.sim.sweep import run_cell
 
         failures = {"n": 0}
         sleeps = []
 
-        def flaky_runner(config, tracker, workload, cache_dir, ttl, **kw):
+        def flaky_runner(config, tracker, workload, cache, ttl, **kw):
             if workload == "gcc" and tracker == "hydra" and failures["n"] < 2:
                 failures["n"] += 1
                 raise RuntimeError("worker lost")
-            return run_cell(config, tracker, workload, cache_dir, ttl, **kw)
+            return run_cell(config, tracker, workload, cache, ttl, **kw)
 
         broker = make_broker(
             tmp_path,

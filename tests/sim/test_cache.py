@@ -1,6 +1,10 @@
 """Tests for the crash-safe result cache (atomic writes, eviction)."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -106,6 +110,28 @@ class TestLeases:
         assert cache.lease("abc", "worker-2", ttl_s=60, now=161.0)
         assert cache.lease_info("abc").owner == "worker-2"
         assert cache.leases_reclaimed == 1
+
+    def test_lease_of_exited_local_process_is_reclaimed(self, tmp_path):
+        # A run killed mid-fill leaves its lease behind; the next one
+        # on this host takes it over at once, not after the TTL.
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()  # exited and reaped
+        cache = ResultCache(tmp_path)
+        owner = f"{socket.gethostname()}:{dead.pid}:killed"
+        assert cache.lease("abc", owner, ttl_s=300, now=100.0)
+        assert cache.lease("abc", "worker-2", ttl_s=60, now=101.0)
+        assert cache.lease_info("abc").owner == "worker-2"
+        assert cache.leases_reclaimed == 1
+
+    def test_lease_of_live_or_remote_holder_waits_for_ttl(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        live = f"{socket.gethostname()}:{os.getpid()}:alive"
+        assert cache.lease("abc", live, ttl_s=60, now=100.0)
+        assert not cache.lease("abc", "worker-2", ttl_s=60, now=101.0)
+        remote = "another-host.invalid:999999999:x"
+        assert cache.lease("def", remote, ttl_s=60, now=100.0)
+        assert not cache.lease("def", "worker-2", ttl_s=60, now=101.0)
+        assert cache.leases_reclaimed == 0
 
     def test_release_by_owner(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -40,6 +40,24 @@ class TestVariations:
         assert SystemConfig().with_trh(250).structure_scale == 2
         assert SystemConfig().with_trh(125).structure_scale == 4
 
+    def test_with_trh_is_the_tracker_context_policy(self):
+        """One Figure-7 scaling policy: the config applies the
+        registry context's, so both scale structures alike."""
+        cfg = SystemConfig()
+        for trh in (1, 7, 125, 250, 499, 500, 501, 4800):
+            context = cfg.tracker_context().with_trh(trh)
+            scaled = cfg.with_trh(trh)
+            assert (scaled.trh, scaled.structure_scale) == (
+                context.trh,
+                context.structure_scale,
+            )
+        assert cfg.with_trh(250, structure_scale=3).structure_scale == 3
+
+    @pytest.mark.parametrize("trh", [0, -1])
+    def test_with_trh_rejects_non_positive(self, trh):
+        with pytest.raises(ValueError, match="trh must be at least 1"):
+            SystemConfig().with_trh(trh)
+
     def test_with_gct_entries(self):
         cfg = SystemConfig().with_gct_entries(16384)
         assert cfg.gct_entries_full == 16384

@@ -4,8 +4,8 @@ import pytest
 
 from repro.sim.config import SystemConfig
 from repro.sim.grid import GridSpec
-from repro.sim.results import Comparison
-from repro.sim.sweep import ExperimentRunner, suite_geomeans, suite_slowdowns
+from repro.sim.results import Comparison, ComparisonResult
+from repro.sim.sweep import ExperimentRunner
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
 
@@ -28,13 +28,6 @@ class TestRunner:
         cached = b.run("baseline", "leela")
         assert cached.end_time_ns == result.end_time_ns
         assert list(tmp_path.glob("*.json"))
-
-    def test_disk_cache_disabled(self, tmp_path):
-        runner = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path, use_disk_cache=False
-        )
-        runner.run("baseline", "leela")
-        assert not list(tmp_path.glob("*.json"))
 
     def test_different_config_different_key(self, tmp_path):
         a = ExperimentRunner(CONFIG, cache_dir=tmp_path)
@@ -80,7 +73,7 @@ class TestSuiteAggregation:
         ]
 
     def test_suite_geomeans_cover_all_groups(self):
-        means = suite_geomeans(self.make_comps(0.9))
+        means = ComparisonResult(self.make_comps(0.9)).suite_geomeans()
         assert set(means) == {
             "SPEC(22)", "PARSEC(7)", "GAP(6)", "GUPS(1)", "ALL(36)",
         }
@@ -88,11 +81,11 @@ class TestSuiteAggregation:
             assert value == pytest.approx(0.9)
 
     def test_suite_slowdowns(self):
-        slow = suite_slowdowns(self.make_comps(0.8))
+        slow = ComparisonResult(self.make_comps(0.8)).slowdowns()
         assert slow["ALL(36)"] == pytest.approx(25.0)
 
     def test_partial_workload_sets(self):
         comps = [Comparison("GUPS", "t", 1.0, 1.25)]
-        means = suite_geomeans(comps)
+        means = ComparisonResult(comps).suite_geomeans()
         assert means["GUPS(1)"] == pytest.approx(0.8)
         assert "PARSEC(7)" not in means

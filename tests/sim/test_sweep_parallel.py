@@ -10,9 +10,15 @@ import io
 import json
 import multiprocessing
 import os
+import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.obs.manifest import read_manifest
 from repro.sim.config import (
     JOBS_ENV_VAR,
     SystemConfig,
@@ -20,6 +26,7 @@ from repro.sim.config import (
     resolve_jobs,
 )
 from repro.sim.grid import GridSpec
+from repro.sim.cache import ResultCache
 from repro.sim.sweep import ExperimentRunner, SweepProgress, cell_key
 
 CONFIG = SystemConfig(scale=1 / 256, n_windows=1)
@@ -67,14 +74,6 @@ class TestParallelMatchesSerial:
             CONFIG, cache_dir=tmp_path / "b"
         ).compare("ocpr", WORKLOADS, jobs=3)
         assert parallel == serial
-
-    def test_parallel_without_disk_cache(self, tmp_path):
-        runner = ExperimentRunner(
-            CONFIG, cache_dir=tmp_path, use_disk_cache=False
-        )
-        grid = runner.run_grid(GRID_2, jobs=2)
-        assert set(grid) == set(TRACKERS)
-        assert not list(tmp_path.glob("*.json"))
 
 
 def _racing_writer(cache_dir: str, done_path: str) -> None:
@@ -194,3 +193,153 @@ class TestSweepProgress:
     def test_grid_reports_through_stream(self, tmp_path):
         runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
         runner.run_grid(BASELINE_2, progress=False)
+
+
+def _payload_bytes(grid) -> bytes:
+    return json.dumps(grid.to_payload(), sort_keys=True).encode()
+
+
+def _spy_simulations(monkeypatch, delay_s=0.0, fail_once=None, slow=None):
+    """Count ``simulate_workload`` calls per cell as the dispatcher
+    makes them; optionally delay every call, fail one cell's first
+    attempt, or hold one cell back (``slow``) so it finishes last.
+
+    A process pool forked after the patch inherits it, so its workers
+    are slowed too (their counts stay in the workers).
+    """
+    import repro.sim.sweep as sweep
+
+    real = sweep.simulate_workload
+    calls = {}
+    lock = threading.Lock()
+
+    def spy(config, tracker, workload, *args, **kwargs):
+        with lock:
+            calls[(tracker, workload)] = calls.get((tracker, workload), 0) + 1
+            attempt = calls[(tracker, workload)]
+        if (tracker, workload) == fail_once and attempt == 1:
+            raise RuntimeError("worker lost")
+        time.sleep(0.5 if (tracker, workload) == slow else delay_s)
+        return real(config, tracker, workload, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "simulate_workload", spy)
+    return calls
+
+
+class TestOneDispatcher:
+    """What run_grid gains from sharing the broker's dispatch core."""
+
+    def test_racing_grids_simulate_each_key_once(self, tmp_path, monkeypatch):
+        """More grids than cores race on one cache directory, with a
+        short thread switch interval: leases still let each key be
+        simulated exactly once."""
+        calls = _spy_simulations(monkeypatch, delay_s=0.1)
+        contenders = 4
+        start = threading.Barrier(contenders)
+        grids = []
+
+        def contender():
+            runner = ExperimentRunner(CONFIG, cache_dir=tmp_path)
+            start.wait(timeout=60)
+            grids.append(runner.run_grid(GRID_2, jobs=1, progress=False))
+
+        threads = [
+            threading.Thread(target=contender) for _ in range(contenders)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(grids) == contenders
+        assert calls == {(t, w): 1 for t in TRACKERS for w in WORKLOADS[:2]}
+        assert len({_payload_bytes(grid) for grid in grids}) == 1
+        assert not list(tmp_path.glob("*.lease"))
+
+    def test_failed_cell_is_retried(self, tmp_path, monkeypatch):
+        reference = ExperimentRunner(
+            CONFIG, cache_dir=tmp_path / "reference"
+        ).run_grid(GRID_2, jobs=1)
+        calls = _spy_simulations(monkeypatch, fail_once=("ocpr", "leela"))
+        runner = ExperimentRunner(CONFIG, cache_dir=tmp_path / "flaky")
+        grid = runner.run_grid(GRID_2, jobs=1)
+        assert calls[("ocpr", "leela")] == 2
+        assert _payload_bytes(grid) == _payload_bytes(reference)
+
+    def test_serial_and_parallel_grids_and_manifests_match(
+        self, tmp_path, monkeypatch
+    ):
+        # The first cell finishes last under the pool: the manifest
+        # must still come out in grid order.
+        _spy_simulations(monkeypatch, slow=(TRACKERS[0], WORKLOADS[0]))
+        grids, manifests = [], []
+        for jobs in (1, 2):
+            manifest = tmp_path / f"manifest-{jobs}.jsonl"
+            runner = ExperimentRunner(
+                CONFIG, cache_dir=tmp_path / f"cache-{jobs}",
+                manifest_path=manifest,
+            )
+            grids.append(runner.run_grid(GRID, jobs=jobs, progress=False))
+            records, skipped = read_manifest(manifest)
+            assert skipped == 0
+            manifests.append(
+                [
+                    (r.cache_key, r.spec, r.workload, r.engine,
+                     r.from_cache, r.requests, r.end_time_ns)
+                    for r in records
+                ]
+            )
+        assert _payload_bytes(grids[0]) == _payload_bytes(grids[1])
+        assert manifests[0] == manifests[1]
+        assert [(spec, wl) for _, spec, wl, *_ in manifests[1]] == [
+            (t, w) for t in TRACKERS for w in WORKLOADS
+        ]
+        assert not any(record[4] for record in manifests[1])  # all fills
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_spellings_of_one_tracker_each_get_their_column(
+        self, tmp_path, jobs
+    ):
+        """Two spellings of one canonical tracker share a cache key
+        and a fill, but each keeps its own column, cold and warm."""
+        spellings = ("hydra@trh=250,rcc_ways=8", "hydra@rcc_ways=8,trh=250")
+        grid = GridSpec(trackers=spellings, workloads=WORKLOADS[:2])
+        manifest = tmp_path / "manifest.jsonl"
+        runner = ExperimentRunner(
+            CONFIG, cache_dir=tmp_path / "cache", manifest_path=manifest
+        )
+        cold = runner.run_grid(grid, jobs=jobs, progress=False)
+        warm = ExperimentRunner(CONFIG, cache_dir=tmp_path / "cache").run_grid(
+            grid, jobs=jobs, progress=False
+        )
+        for result in (cold, warm):
+            assert list(result) == list(spellings)
+            for tracker in spellings:
+                assert list(result[tracker]) == list(WORKLOADS[:2])
+            assert result[spellings[0]] == result[spellings[1]]
+        assert _payload_bytes(cold) == _payload_bytes(warm)
+        records, _ = read_manifest(manifest)
+        assert [r.workload for r in records] == list(WORKLOADS[:2]) * 2
+
+    def test_lease_of_a_killed_run_does_not_stall_the_grid(self, tmp_path):
+        """A lease left by a process that exited mid-fill is reclaimed
+        at once, well inside its 300-s expiry."""
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        cache = ResultCache(tmp_path)
+        key = cell_key(CONFIG, "baseline", "leela")
+        owner = f"{socket.gethostname()}:{dead.pid}:killed"
+        assert cache.lease(key, owner, ttl_s=300)
+        started = time.monotonic()
+        grid = ExperimentRunner(CONFIG, cache_dir=tmp_path).run_grid(
+            GridSpec(trackers=("baseline",), workloads=("leela",)),
+            progress=False,
+        )
+        assert time.monotonic() - started < 60
+        assert grid["baseline"]["leela"].requests > 0
+        assert not list(tmp_path.glob("*.lease"))

@@ -258,6 +258,16 @@ class TestAttackCommands:
         )
         assert args.attack == ["single", "many_sided@aggs=4,rounds=600"]
 
+    @pytest.mark.parametrize("ladder", ["0", "1000,0", "-5"])
+    def test_arena_rejects_non_positive_trh_rung(self, ladder, capsys):
+        """A bad rung is a usage error (exit 2), not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["arena", "--trh-ladder", ladder])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trh-ladder" in err
+        assert "trh must be at least 1" in err
+
     def test_fuzz_smoke(self, tmp_path, capsys):
         code = main(
             ["fuzz", "--trackers", "graphene", "--programs", "2",
